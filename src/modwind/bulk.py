@@ -1,14 +1,24 @@
 """Vectorized sharded enumeration of all necklaces up to period N.
 
-Words of a given even length with a fixed digit prefix are generated as
-a numpy array, filtered down to canonical primitive representatives, and
-their invariants accumulated in one pass.  Shards are digit prefixes of
-the canonical representative; any prefix-free covering family yields a
-disjoint partition, so shard accumulators merge exactly.
+An even-shift necklace of period length n is a necklace of n/2 digit
+pairs, and its canonical primitive representative is the Lyndon word
+over the A^2 pairs, ordered (a, b) < (a', b') lexicographically: the
+pair-word strictly smaller than each of its proper rotations.  A word is
+held as its base-A integer key (digit d counts as d - 1), so a rotation
+by s pairs is one divmod by A^(n - 2s).  For each first pair c only the
+words whose later pairs are all >= c are generated, and one strict mask
+keeps those smaller than every proper rotation.
+
+A shard is a digit prefix of length 0, 1 or 2 and owns the necklaces
+whose representative starts with it: all of them, those with a given
+first digit, or those with a given first pair.  `run` runs one shard
+per first pair and merges them in increasing order, so the result does
+not depend on the thread count.
 
 Digit matrices are multiplied in int64, which is exact as long as
-(A+1)^n < 2^62; the float64 trace then gives the geometric length with
-relative error far below the 1e-9 dual-method tolerance.
+(A+1)^n < 2^62; the same bound keeps the keys below A^N < 2^62.  The
+float64 trace gives the geometric length with relative error far below
+the 1e-9 dual-method tolerance.
 """
 
 from __future__ import annotations
@@ -19,72 +29,51 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import invariants, necklace
+from . import invariants
 from .stats import JointCounts, merge
 
 # int64 matrix entries stay exact below this bound on (A+1)^n.
 _ENTRY_BITS = 62
 
+# Candidate words generated per block.
+_CHUNK = 1 << 20
+
 
 def _check_feasible(A, N):
     if (N * math.log2(A + 1)) >= _ENTRY_BITS:
         raise ValueError(f"int64 fast path infeasible for A={A}, N={N}")
-    if N * (int(A).bit_length()) > 63:
-        raise ValueError(f"packed rotation keys infeasible for A={A}, N={N}")
 
 
-def _proper_divisors(n):
-    return [d for d in range(1, n) if n % d == 0]
+def grid_cells(A, n):
+    """Cells of the dense (psi, lw) bincount grid at period length n."""
+    return ((A - 1) * n + 1) * (2 * A * n + 1)
 
 
-def _gen_words(A, n, prefix, chunk_start, chunk_size):
-    """Digit array of shape (chunk_size, n) for words with the prefix,
-    suffixes enumerated lexicographically from chunk_start."""
-    k = len(prefix)
-    m = n - k
-    digits = np.empty((chunk_size, n), dtype=np.int8)
-    for i, d in enumerate(prefix):
-        digits[:, i] = d
-    idx = np.arange(chunk_start, chunk_start + chunk_size, dtype=np.int64)
-    for i in range(m):
-        digits[:, k + i] = (idx // A ** (m - 1 - i)) % A + 1
-    return digits
+def _lyndon_keys(A, n, c):
+    """Keys of the Lyndon pair-words of length n/2 with first pair c,
+    one array per block of candidates."""
+    m = n // 2
+    Q = A * A
+    B = Q - c
+    total = B ** (m - 1)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        key = np.full(idx.size, c * Q ** (m - 1), dtype=np.int64)
+        for j in range(1, m):
+            key += (idx // B ** (m - 1 - j) % B + c) * Q ** (m - 1 - j)
+        keep = np.ones(idx.size, dtype=bool)
+        for s in range(1, m):
+            hi, lo = np.divmod(key, Q ** (m - s))
+            keep &= key < lo * Q**s + hi
+        yield key[keep]
 
 
-def _minimal_period(digits):
-    n = digits.shape[1]
-    per = np.full(digits.shape[0], n, dtype=np.int16)
-    unset = np.ones(digits.shape[0], dtype=bool)
-    cols = np.arange(n)
-    for d in _proper_divisors(n):
-        periodic = (digits == digits[:, cols % d]).all(axis=1)
-        sel = unset & periodic
-        per[sel] = d
-        unset &= ~periodic
-    return per
-
-
-def _canonical_mask(digits, A):
-    """True where the word is the lex-min among its even rotations."""
-    n = digits.shape[1]
-    b = int(A).bit_length()
-    key = np.zeros(digits.shape[0], dtype=np.uint64)
+def _digits(A, n, keys):
+    """Digit array of shape (len(keys), n) in the smallest dtype holding A."""
+    digits = np.empty((keys.size, n), dtype=np.min_scalar_type(A))
     for i in range(n):
-        key = (key << np.uint64(b)) | digits[:, i].astype(np.uint64)
-    full = np.uint64((1 << (n * b)) - 1)
-    ok = np.ones(digits.shape[0], dtype=bool)
-    for s in range(2, n, 2):
-        rot = ((key << np.uint64(s * b)) & full) | (key >> np.uint64((n - s) * b))
-        ok &= key <= rot
-    return ok
-
-
-def _primitive_mask(per, n):
-    prim = per == n
-    half = n // 2
-    if half % 2 == 1:
-        prim |= per == half
-    return prim
+        digits[:, i] = keys // A ** (n - 1 - i) % A + 1
+    return digits
 
 
 def _geodesic_lengths(digits):
@@ -107,17 +96,20 @@ def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
     A = acc.A
     count = digits.shape[0]
     signs = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
-    psi = digits.astype(np.int64) @ signs
-    lw = 2 * digits.astype(np.int64).sum(axis=1)
+    wide = digits.astype(np.int64)
+    psi = wide @ signs
+    lw = 2 * wide.sum(axis=1)
 
     pmax = (A - 1) * n // 2
     lwmax = 2 * A * n
     comp = (psi + pmax) * (lwmax + 1) + lw
-    counts = np.bincount(comp, minlength=(2 * pmax + 1) * (lwmax + 1))
-    for flat in np.nonzero(counts)[0]:
-        p = int(flat) // (lwmax + 1) - pmax
-        w = int(flat) % (lwmax + 1)
-        acc.table[(n, p, w)] += int(counts[flat])
+    # Only the span of grid cells this block touches, so small blocks of
+    # a large-A run stay cheap; grid_cells bounds it.
+    low = int(comp.min())
+    counts = np.bincount(comp - low)
+    for i in np.nonzero(counts)[0]:
+        p, w = divmod(int(i) + low, lwmax + 1)
+        acc.table[(n, p - pmax, w)] += int(counts[i])
 
     row = acc._hist_row(n)
     x = psi / np.sqrt(lg)
@@ -149,86 +141,66 @@ def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
     return count
 
 
-def run_shard(A, N, prefix, hist=None, check_rate=0, chunk=1 << 22):
+def run_shard(A, N, prefix, hist=None, check_rate=0):
     """Accumulate every necklace owned by one shard prefix."""
     _check_feasible(A, N)
-    acc = JointCounts(A, N, hist)
     prefix = tuple(prefix)
+    if len(prefix) > 2 or not all(1 <= d <= A for d in prefix):
+        raise ValueError(f"shard prefix {prefix} is not 0-2 digits in 1..{A}")
+    acc = JointCounts(A, N, hist)
+    # The first pairs (a-1)*A + (b-1) that extend the prefix form one range.
+    first = sum((d - 1) * A ** (1 - i) for i, d in enumerate(prefix))
     checked = 0
     for n in range(2, N + 1, 2):
-        if n < len(prefix):
-            _run_short(acc, A, n, prefix)
-            continue
-        p = prefix
-        total = A ** (n - len(p))
-        for start in range(0, total, chunk):
-            size = min(chunk, total - start)
-            digits = _gen_words(A, n, p, start, size)
-            keep = _primitive_mask(_minimal_period(digits), n)
-            keep &= _canonical_mask(digits, A)
-            block = digits[keep]
-            if block.shape[0]:
-                lg = _geodesic_lengths(block)
-                checked += _accumulate_block(acc, n, block, lg, check_rate, checked)
+        for c in range(first, first + A ** (2 - len(prefix))):
+            for keys in _lyndon_keys(A, n, c):
+                if keys.size:
+                    block = _digits(A, n, keys)
+                    lg = _geodesic_lengths(block)
+                    checked += _accumulate_block(acc, n, block, lg, check_rate, checked)
     return acc
 
 
-def _run_short(acc, A, n, prefix):
-    # period length shorter than the shard prefix: the shard owns the
-    # necklace when the prefix matches the periodic extension.
-    for word in itertools.product(range(1, A + 1), repeat=n):
-        if not necklace.is_primitive(word):
-            continue
-        if word != necklace.canonical_even_shift(word):
-            continue
-        if not necklace._owned_by_shard(word, prefix):
-            continue
-        acc.accumulate(invariants.build_record(necklace.Necklace(word)))
-
-
-def shard_prefixes(A, depth):
-    if depth == 0:
-        return [()]
-    return list(itertools.product(range(1, A + 1), repeat=depth))
-
-
-def choose_depth(A, N, per_shard=1 << 24):
-    """Smallest prefix depth keeping each shard below per_shard words."""
-    depth = 0
-    while depth < N and A ** (N - depth) > per_shard:
-        depth += 1
-    return depth
+def shard_prefixes(A, length):
+    return list(itertools.product(range(1, A + 1), repeat=length))
 
 
 def _worker(args):
     return run_shard(*args)
 
 
-def run(A, N, hist=None, threads=1, check_rate=0, depth=None, progress=None):
-    """Full sharded enumeration; returns the merged accumulator.
+def _merge_in_order(shards, total, progress):
+    """Merge an ordered stream of shards as a balanced tree, left to right.
+
+    A linear fold would copy the growing table once per shard; the tree
+    copies each cell about log2(total) times and holds that many partial
+    results.
+    """
+    stack = []
+    for i, acc in enumerate(shards, 1):
+        size = 1
+        while stack and stack[-1][0] == size:
+            acc = merge(stack.pop()[1], acc)
+            size *= 2
+        stack.append((size, acc))
+        if progress:
+            progress(i, total)
+    result = stack.pop()[1]
+    while stack:
+        result = merge(stack.pop()[1], result)
+    return result
+
+
+def run(A, N, hist=None, threads=1, check_rate=0, progress=None):
+    """Full enumeration, one shard per first pair; returns the merged
+    accumulator.
 
     Shards are merged in a fixed order, so the result is independent of
     the thread count.
     """
     _check_feasible(A, N)
-    if depth is None:
-        depth = choose_depth(A, N)
-    prefixes = shard_prefixes(A, depth)
-    jobs = [(A, N, p, hist, check_rate) for p in prefixes]
-    if threads <= 1 or len(prefixes) == 1:
-        shards = []
-        for i, job in enumerate(jobs):
-            shards.append(_worker(job))
-            if progress:
-                progress(i + 1, len(jobs))
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            shards = []
-            for i, acc in enumerate(pool.map(_worker, jobs)):
-                shards.append(acc)
-                if progress:
-                    progress(i + 1, len(jobs))
-    result = shards[0]
-    for acc in shards[1:]:
-        result = merge(result, acc)
-    return result
+    jobs = [(A, N, p, hist, check_rate) for p in shard_prefixes(A, 2)]
+    if threads <= 1:
+        return _merge_in_order(map(_worker, jobs), len(jobs), progress)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return _merge_in_order(pool.map(_worker, jobs), len(jobs), progress)

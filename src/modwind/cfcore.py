@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
-from sympy import factorint
 
 
 def as_word(digits, bound=None):
@@ -63,6 +62,10 @@ class MatrixZ:
 
 def _square_part(D):
     """Split D = s*s * m with m square-free; returns (s, m)."""
+    # Imported here: sympy is this function's only use, and importing it
+    # at module level would add its load time to every CLI call.
+    from sympy import factorint
+
     s = 1
     m = 1
     for p, e in factorint(D).items():

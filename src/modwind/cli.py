@@ -24,6 +24,8 @@ EXIT_RESOURCE = 4
 
 # Beyond ~1e9 candidate words, exhaustive runs are not desk-scale.
 WORK_CAP = 10**9
+# Each shard allocates up to bulk.grid_cells(A, N) int64 counters.
+GRID_CAP = 1 << 24
 
 NORM_SIGMA = {
     stats.PERIOD: lambda A, tol: float(invariants.sigma_p2(A)),
@@ -56,8 +58,28 @@ def _bound(value):
     return A
 
 
-def _workload(A, N):
-    return sum(A**n for n in range(2, N + 1, 2))
+def _int_at_least(lo):
+    def parse(value):
+        n = int(value)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _tolerance(value):
+    tol = float(value)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {tol}")
+    return tol
+
+
+def _too_large(A, N):
+    """True when an exhaustive run passes WORK_CAP or GRID_CAP."""
+    workload = sum(A**n for n in range(2, N + 1, 2))
+    return workload > WORK_CAP or bulk.grid_cells(A, N) > GRID_CAP
 
 
 def build_parser():
@@ -83,19 +105,19 @@ def build_parser():
     p = sub.add_parser("dist", help="empirical distribution vs Gaussian")
     common(p)
     p.add_argument("--norm", choices=stats.NORMALIZATIONS, required=True)
-    p.add_argument("--bins", type=int, default=8192)
+    p.add_argument("--bins", type=_int_at_least(2), default=8192)
     p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=_tolerance, default=1e-3,
                    help="ergodic-constant tolerance for the geom normalization")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--svg", action="store_true", help="also emit dist.svg")
-    p.add_argument("--sample", type=int, metavar="COUNT",
+    p.add_argument("--sample", type=_int_at_least(1), metavar="COUNT",
                    help="Monte Carlo mode: number of uniform draws")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("constants", help="variance constants and ergodic estimate")
     common(p, with_n=False)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_tolerance, default=1e-3)
 
     p = sub.add_parser("charfn", help="empirical characteristic function")
     common(p)
@@ -115,7 +137,7 @@ def _emit(obj):
 
 def cmd_count(args):
     exact_requested = args.exact
-    if exact_requested and _workload(args.A, args.N) > WORK_CAP:
+    if exact_requested and _too_large(args.A, args.N):
         print("exact enumeration exceeds the work cap", file=sys.stderr)
         return EXIT_RESOURCE
     if exact_requested:
@@ -155,15 +177,16 @@ def _sampled_accumulator(args, hist):
 
 def cmd_dist(args):
     hist = stats.default_hist(args.A, args.bins)
+    if args.sample is None and _too_large(args.A, args.N):
+        print("workload exceeds the exhaustive cap; use --sample", file=sys.stderr)
+        return EXIT_RESOURCE
+    # Before any sampling or enumeration: ĉ may be over its budget.
+    sigma2 = NORM_SIGMA[args.norm](args.A, args.tol)
     if args.sample is not None:
         acc = _sampled_accumulator(args, hist)
     else:
-        if _workload(args.A, args.N) > WORK_CAP:
-            print("workload exceeds the exhaustive cap; use --sample", file=sys.stderr)
-            return EXIT_RESOURCE
         acc = bulk.run(args.A, args.N, hist=hist, threads=args.threads,
                        progress=_progress)
-    sigma2 = NORM_SIGMA[args.norm](args.A, args.tol)
     report = stats.ks_distance(acc, args.norm, sigma2)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -209,7 +232,7 @@ def cmd_constants(args):
 
 
 def cmd_charfn(args):
-    if _workload(args.A, args.N) > WORK_CAP:
+    if _too_large(args.A, args.N):
         print("workload exceeds the exhaustive cap", file=sys.stderr)
         return EXIT_RESOURCE
     sigma2 = float(invariants.sigma_p2(args.A))

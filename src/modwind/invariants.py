@@ -207,6 +207,8 @@ def chat_estimate(A, tol, budget=DEFAULT_WORD_BUDGET):
     while 2.0 / fibonacci(k) ** 2 > tol:
         k += 1
     if A**k > budget:
+        if A > budget:
+            raise BudgetError(f"A = {A} words at depth 1 exceed word budget {budget}")
         best_k = max(j for j in range(1, k) if A**j <= budget)
         best = ChatEstimate(
             A=A,

@@ -113,20 +113,15 @@ def count_min_period(A, n):
 def count_Pn(A, n):
     """Exact number of necklaces of period length n.
 
-    Every even-shift class of primitive length-n words has exactly n/2
-    members, counting both the minimal-period-n words and (for n/2 odd)
-    the doubled words of minimal period n/2.
+    Their canonical representatives are the Lyndon words of length n/2
+    over the A^2 digit pairs: the aperiodic pair-words, n/2 rotations to
+    a class.
     """
     _check_bound(A)
     if n < 2 or n % 2 != 0:
         raise ValueError("period length must be even and >= 2")
-    total = count_min_period(A, n)
     half = n // 2
-    if half % 2 == 1:
-        total += count_min_period(A, half)
-    total *= 2
-    assert total % n == 0
-    return total // n
+    return count_min_period(A * A, half) // half
 
 
 def pi_exact(A, N):

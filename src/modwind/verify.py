@@ -99,16 +99,16 @@ def check_dual_lengths(A, n_max, tol=1e-9):
 
 def check_shard_independence(A, N):
     failures = []
-    single = bulk.run(A, N, depth=0)
-    for depth in (1, 2):
-        shards = [bulk.run_shard(A, N, p) for p in bulk.shard_prefixes(A, depth)]
+    single = bulk.run_shard(A, N, ())
+    for length in (1, 2):
+        shards = [bulk.run_shard(A, N, p) for p in bulk.shard_prefixes(A, length)]
         acc = shards[0]
         for s in shards[1:]:
             acc = merge(acc, s)
         if acc.table != single.table:
-            failures.append(f"depth-{depth} shard union differs from single pass")
+            failures.append(f"{length}-digit shard union differs from single pass")
         if acc.total_count() != necklace.pi_exact(A, N):
-            failures.append(f"depth-{depth} total != pi_exact")
+            failures.append(f"{length}-digit shard total != pi_exact")
     return failures
 
 

@@ -71,14 +71,45 @@ def test_02_asymptotic_accuracy():
         assert abs(rep.relative_error - 0.0084) <= 0.0005
 
 
+def _proper_divisors(n):
+    return [d for d in range(1, n) if n % d == 0]
+
+
+def _gen_words(A, n, prefix, chunk_start, chunk_size):
+    """Digit array of shape (chunk_size, n) for words with the prefix,
+    suffixes enumerated lexicographically from chunk_start."""
+    k = len(prefix)
+    m = n - k
+    digits = np.empty((chunk_size, n), dtype=np.int8)
+    for i, d in enumerate(prefix):
+        digits[:, i] = d
+    idx = np.arange(chunk_start, chunk_start + chunk_size, dtype=np.int64)
+    for i in range(m):
+        digits[:, k + i] = (idx // A ** (m - 1 - i)) % A + 1
+    return digits
+
+
+def _minimal_period(digits):
+    n = digits.shape[1]
+    per = np.full(digits.shape[0], n, dtype=np.int16)
+    unset = np.ones(digits.shape[0], dtype=bool)
+    cols = np.arange(n)
+    for d in _proper_divisors(n):
+        periodic = (digits == digits[:, cols % d]).all(axis=1)
+        sel = unset & periodic
+        per[sel] = d
+        unset &= ~periodic
+    return per
+
+
 def _scan_min_period_counts(A, n):
     """Vectorized independent scan: words in [A]^n with minimal period n."""
     total = A**n
     chunk = 1 << 22
     count = 0
     for start in range(0, total, chunk):
-        digits = bulk._gen_words(A, n, (), start, min(chunk, total - start))
-        count += int((bulk._minimal_period(digits) == n).sum())
+        digits = _gen_words(A, n, (), start, min(chunk, total - start))
+        count += int((_minimal_period(digits) == n).sum())
     return count
 
 

@@ -1,10 +1,24 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
 from modwind import bulk, cli, invariants, necklace, stats
 from modwind.errors import BudgetError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*argv, cwd=None):
+    """A fresh interpreter with this checkout's package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def reference_accumulator(A, N):
@@ -16,7 +30,7 @@ def reference_accumulator(A, N):
 
 class TestBulk:
     def test_matches_reference(self):
-        for A, N in ((2, 8), (3, 6)):
+        for A, N in ((2, 8), (3, 6), (4, 8)):
             fast = bulk.run_shard(A, N, ())
             slow = reference_accumulator(A, N)
             assert fast.table == slow.table
@@ -37,8 +51,8 @@ class TestBulk:
             assert merged.table == whole.table
 
     def test_thread_count_invariance(self):
-        one = bulk.run(3, 8, threads=1, depth=1)
-        two = bulk.run(3, 8, threads=2, depth=1)
+        one = bulk.run(3, 8, threads=1)
+        two = bulk.run(3, 8, threads=2)
         assert one.table == two.table
         for n in one.lg_hist:
             assert (one.lg_hist[n] == two.lg_hist[n]).all()
@@ -48,11 +62,6 @@ class TestBulk:
         acc = bulk.run_shard(5, 6, (), check_rate=16)
         assert acc.check_count >= acc.total_count() // 16
         assert acc.check_max_rel < 1e-9
-
-    def test_depth_selection(self):
-        assert bulk.choose_depth(2, 4) == 0
-        depth = bulk.choose_depth(5, 12)
-        assert 5 ** (12 - depth) <= 1 << 24 < 5 ** (13 - depth)
 
     def test_infeasible_configuration(self):
         with pytest.raises(ValueError):
@@ -203,6 +212,64 @@ class TestCliCharfn:
         )
         assert code == 0
         assert "admissible" in err
+
+
+class TestCliExitCodes:
+    @pytest.mark.parametrize("argv, expected", [
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "1"], 2),
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--sample", "0"], 2),
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--sample", "-5"], 2),
+        (["constants", "--A", "3", "--tol", "0"], 2),
+        (["constants", "--A", "3", "--tol", "nan"], 2),
+        (["constants", "--A", "100000000"], 4),
+    ])
+    def test_invalid_input(self, argv, expected, tmp_path):
+        proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
+        assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_geom_budget_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def over_budget(A, tol):
+            raise BudgetError("over budget")
+
+        sampled = []
+        monkeypatch.setattr(invariants, "chat_estimate", over_budget)
+        monkeypatch.setattr(cli, "_sampled_accumulator", lambda *a: sampled.append(a))
+        code, _, err = run_cli(
+            capsys, "dist", "--A", "6", "--N", "12", "--norm", "geom",
+            "--sample", "200", "--out-dir", str(tmp_path),
+        )
+        assert code == 4
+        assert "over budget" in err
+        assert not sampled
+
+    def test_import_skips_sympy(self):
+        proc = run_python("-c", "import sys, modwind.cli; "
+                                "assert 'sympy' not in sys.modules, 'sympy imported'")
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestLargeAlphabet:
+    def test_table_matches_pair_loop(self, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "dist", "--A", "300", "--N", "2",
+                             "--norm", "period", "--out-dir", str(tmp_path))
+        assert code == 0
+        cells = Counter((a - b, 2 * (a + b))
+                        for a in range(1, 301) for b in range(1, 301))
+        expected = "n,psi,lw,count\n" + "".join(
+            f"2,{psi},{lw},{count}\n" for (psi, lw), count in sorted(cells.items())
+        )
+        assert (tmp_path / "table.csv").read_text() == expected
+
+    def test_exact_count(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--A", "200", "--N", "2", "--exact")
+        assert code == 0
+        assert json.loads(out)["exact"] == 40000
+
+    def test_grid_cap(self, capsys):
+        code, _, err = run_cli(capsys, "count", "--A", "30000", "--N", "2", "--exact")
+        assert code == 4
+        assert "cap" in err
 
 
 class TestCliVerify:

@@ -135,6 +135,15 @@ class TestCounts:
                 prim = sum(1 for w in all_words(A, n) if is_primitive(w))
                 assert len(classes) * (n // 2) == prim
 
+    def test_count_Pn_matches_word_classes(self):
+        # |P_n| from the word classes: minimal-period-n words, plus the
+        # doubled words of minimal period n/2 when n/2 is odd, n/2 to a class.
+        for A in range(2, 8):
+            for n in range(2, 23, 2):
+                half = n // 2
+                doubled = count_min_period(A, half) if half % 2 else 0
+                assert count_Pn(A, n) * n == 2 * (count_min_period(A, n) + doubled)
+
     def test_pi_exact(self):
         assert pi_exact(2, 2) == 4
         assert pi_exact(2, 4) == 10
