@@ -36,12 +36,18 @@ NORM_SIGMA = {
 
 
 def _progress(done, total):
-    print(f"shard {done}/{total}", file=sys.stderr, flush=True)
+    """One line per whole percent of shards done, and one for the last."""
+    if done == total or 100 * done // total != 100 * (done - 1) // total:
+        print(f"shard {done}/{total}", file=sys.stderr, flush=True)
 
 
-def _default_threads():
-    env = os.environ.get("MODWIND_THREADS")
-    return int(env) if env else 1
+def _threads(value):
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"thread count (--threads or MODWIND_THREADS) must be an integer, got {value!r}"
+        ) from None
 
 
 def _even(value):
@@ -76,6 +82,13 @@ def _tolerance(value):
     return tol
 
 
+def _finite(value):
+    t = float(value)
+    if not math.isfinite(t):
+        raise argparse.ArgumentTypeError(f"must be finite, got {t}")
+    return t
+
+
 def _too_large(A, N):
     """True when an exhaustive run passes WORK_CAP or GRID_CAP."""
     workload = sum(A**n for n in range(2, N + 1, 2))
@@ -94,19 +107,25 @@ def build_parser():
         if with_n:
             p.add_argument("--N", type=_even, required=True, help="maximum period length (even)")
 
+    def threads(p):
+        # argparse applies the type to a string default, so a bad
+        # MODWIND_THREADS is a usage error like a bad --threads.
+        p.add_argument("--threads", type=_threads,
+                       default=os.environ.get("MODWIND_THREADS") or "1")
+
     p = sub.add_parser("count", help="count necklaces up to period length N")
     common(p)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="count by full enumeration")
     mode.add_argument("--closed-form", action="store_true",
                       help="count by Moebius sums (default)")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    threads(p)
 
     p = sub.add_parser("dist", help="empirical distribution vs Gaussian")
     common(p)
     p.add_argument("--norm", choices=stats.NORMALIZATIONS, required=True)
     p.add_argument("--bins", type=_int_at_least(2), default=8192)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    threads(p)
     p.add_argument("--tol", type=_tolerance, default=1e-3,
                    help="ergodic-constant tolerance for the geom normalization")
     p.add_argument("--out-dir", default=".")
@@ -122,9 +141,9 @@ def build_parser():
     p = sub.add_parser("charfn", help="empirical characteristic function")
     common(p)
     p.add_argument("--norm", choices=[stats.PERIOD, stats.MAXN], default=stats.PERIOD)
-    p.add_argument("--t", type=float, action="append", required=True,
+    p.add_argument("--t", type=_finite, action="append", required=True,
                    help="evaluation point (repeatable)")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    threads(p)
 
     p = sub.add_parser("verify", help="run the brute-force oracle suite")
     common(p)
@@ -300,6 +319,9 @@ def main(argv=None):
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        print(f"modwind {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

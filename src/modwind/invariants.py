@@ -131,14 +131,24 @@ def fibonacci(k):
 
 
 DEFAULT_WORD_BUDGET = 50_000_000
+# Entries in ck_constant's suffix table, and in each block it evaluates.
+_TABLE = 1 << 20
 
 
 def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET):
     """Truncated ergodic average (2 / A^k) * sum over [A]^k of log(value).
 
-    The value of a word is its exact finite continued fraction p/q; the
-    convergent numerators and denominators are built incrementally for
-    all A^k words at once, and the logs are pairwise-summed.
+    The value of a word a_1 ... a_k is its finite continued fraction
+    [a_1; a_2, ..., a_k].  Words share their work: a float table holds the
+    values x of all suffixes of the last m digits, built level by level as
+    x -> a + 1/x, with m the largest depth whose A^m entries fit in 2^20.
+    The exact int64 continuants (h, h', q, q') of each of the A^(k-m)
+    prefixes give the word's value (h x + h') / (q x + q'), and each block
+    of prefixes adds the pairwise sum of its logs over the table; the
+    partials are combined with fsum.  The table and each block hold at
+    most 2^20 floats whatever A^k is (an A above 2^20 takes its last
+    digit in blocks of 2^20), and there are fewer than A * A^k / 2^20
+    prefixes; budget still caps the A^k words evaluated.
     """
     if A <= 1:
         raise ValueError("A must exceed 1")
@@ -147,19 +157,28 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET):
     total = A**k
     if total > budget:
         raise BudgetError(f"A^k = {total} exceeds word budget {budget}")
-    chunk = 1 << 22
+    m = 1
+    while m < k and A ** (m + 1) <= _TABLE:
+        m += 1
+    # Only deeper words grow the table or the prefixes digit by digit.
+    digits = np.arange(1, A + 1, dtype=np.int64) if k > 1 else None
+    # [[h, h'], [q, q']] = M(a_1) ... M(a_{k-m}) with M(a) = [[a, 1], [1, 0]].
+    h, h_prev = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    q, q_prev = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for _ in range(k - m):
+        h, h_prev = (h[:, None] * digits + h_prev[:, None]).ravel(), np.repeat(h, A)
+        q, q_prev = (q[:, None] * digits + q_prev[:, None]).ravel(), np.repeat(q, A)
     partials = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        size = idx.size
-        h, h_prev = np.ones(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-        q, q_prev = np.zeros(size, dtype=np.int64), np.ones(size, dtype=np.int64)
-        for i in range(k):
-            digit = (idx // A ** (k - 1 - i)) % A + 1
-            h, h_prev = digit * h + h_prev, h
-            q, q_prev = digit * q + q_prev, q
-        logs = np.log(h.astype(np.float64)) - np.log(q.astype(np.float64))
-        partials.append(float(np.sum(logs)))
+    for lo in range(1, A + 1, _TABLE):
+        x = np.arange(lo, min(lo + _TABLE, A + 1), dtype=np.float64)
+        for _ in range(m - 1):
+            x = (digits[:, None] + 1.0 / x).ravel()
+        rows = max(1, _TABLE // x.size)
+        for i in range(0, h.size, rows):
+            s = slice(i, i + rows)
+            num = h[s, None] * x + h_prev[s, None]
+            num /= q[s, None] * x + q_prev[s, None]
+            partials.append(float(np.sum(np.log(num, out=num))))
     return 2.0 * math.fsum(partials) / total
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modwind import bulk, cli, invariants, necklace, stats
 from modwind.errors import BudgetError
@@ -13,9 +19,9 @@ from modwind.errors import BudgetError
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_python(*argv, cwd=None):
+def run_python(*argv, cwd=None, **env_vars):
     """A fresh interpreter with this checkout's package on the path."""
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -222,11 +228,32 @@ class TestCliExitCodes:
         (["constants", "--A", "3", "--tol", "0"], 2),
         (["constants", "--A", "3", "--tol", "nan"], 2),
         (["constants", "--A", "100000000"], 4),
+        (["charfn", "--A", "3", "--N", "4", "--t", "inf"], 2),
+        (["charfn", "--A", "3", "--N", "4", "--t", "nan"], 2),
     ])
     def test_invalid_input(self, argv, expected, tmp_path):
         proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
         assert proc.returncode == expected, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_malformed_thread_environment(self, tmp_path):
+        proc = run_python("-m", "modwind.cli", "count", "--A", "3", "--N", "4",
+                          cwd=tmp_path, MODWIND_THREADS="abc")
+        assert proc.returncode == 2, proc.stderr
+        assert "MODWIND_THREADS" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_escaping_value_error_is_usage(self, tmp_path):
+        # Any ValueError a command lets escape is reported as a usage error.
+        code = ("import sys\n"
+                "from modwind import cli, necklace\n"
+                "def reject(A, N):\n"
+                "    raise ValueError('rejected by the test')\n"
+                "necklace.pi_exact = reject\n"
+                "sys.exit(cli.main(['count', '--A', '3', '--N', '4']))\n")
+        proc = run_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.strip() == "modwind count: error: rejected by the test"
 
     def test_geom_budget_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
         def over_budget(A, tol):
@@ -251,9 +278,13 @@ class TestCliExitCodes:
 
 class TestLargeAlphabet:
     def test_table_matches_pair_loop(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "dist", "--A", "300", "--N", "2",
-                             "--norm", "period", "--out-dir", str(tmp_path))
+        code, _, err = run_cli(capsys, "dist", "--A", "300", "--N", "2",
+                               "--norm", "period", "--out-dir", str(tmp_path))
         assert code == 0
+        # 90,000 shards, one progress line per whole percent
+        lines = err.splitlines()
+        assert len(lines) <= 101
+        assert lines[-1] == "shard 90000/90000"
         cells = Counter((a - b, 2 * (a + b))
                         for a in range(1, 301) for b in range(1, 301))
         expected = "n,psi,lw,count\n" + "".join(
@@ -291,3 +322,53 @@ class TestCliVerify:
         code, out, _ = run_cli(capsys, "verify", "--A", "2", "--N", "6")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, -1e-3, math.inf, -math.inf, math.nan])
+
+
+class TestCliSweep:
+    """Every argument combination exits 0, 2, 3 or 4, and exit 0 prints JSON."""
+
+    @given(
+        command=st.sampled_from(["count", "dist", "constants", "charfn"]),
+        A=st.integers(2, 4),
+        N=st.integers(2, 6),
+        norm=st.sampled_from(["period", "word", "maxn", "geom"]),
+        bins=st.one_of(st.integers(2, 64), st.sampled_from([-3, 0, 1, 8192])),
+        tol=st.one_of(_EDGE_FLOATS, st.floats(1e-6, 10.0)),
+        sample=st.one_of(st.none(), st.integers(-3, 20)),
+        t=st.lists(st.one_of(_EDGE_FLOATS, st.floats(-50.0, 50.0)), min_size=1, max_size=3),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exit_codes_and_json(self, command, A, N, norm, bins, tol, sample, t, exact):
+        argv = [command, f"--A={A}"]
+        if command != "constants":
+            argv.append(f"--N={N}")
+        if command == "count" and exact:
+            argv.append("--exact")
+        if command == "dist":
+            argv += [f"--norm={norm}", f"--bins={bins}", f"--tol={tol}"]
+            if sample is not None:
+                argv.append(f"--sample={sample}")
+        if command == "constants":
+            argv.append(f"--tol={tol}")
+        if command == "charfn":
+            argv += [f"--t={v}" for v in t]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if command == "dist":
+                argv.append(f"--out-dir={tmp}")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from modwind import invariants, necklace
@@ -153,6 +154,31 @@ class TestFibonacci:
         ]
 
 
+def _ck_continuants(A, k, budget=invariants.DEFAULT_WORD_BUDGET):
+    """Per-word c_k: the exact int64 continuants of every word, in chunks."""
+    if A <= 1:
+        raise ValueError("A must exceed 1")
+    if k < 1:
+        raise ValueError("truncation depth must be positive")
+    total = A**k
+    if total > budget:
+        raise BudgetError(f"A^k = {total} exceeds word budget {budget}")
+    chunk = 1 << 22
+    partials = []
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        size = idx.size
+        h, h_prev = np.ones(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+        q, q_prev = np.zeros(size, dtype=np.int64), np.ones(size, dtype=np.int64)
+        for i in range(k):
+            digit = (idx // A ** (k - 1 - i)) % A + 1
+            h, h_prev = digit * h + h_prev, h
+            q, q_prev = digit * q + q_prev, q
+        logs = np.log(h.astype(np.float64)) - np.log(q.astype(np.float64))
+        partials.append(float(np.sum(logs)))
+    return 2.0 * math.fsum(partials) / total
+
+
 class TestCkConstant:
     def test_examples(self):
         assert ck_constant(2, 1) == pytest.approx(math.log(2), rel=1e-14)
@@ -172,9 +198,29 @@ class TestCkConstant:
             ) / A**k
             assert ck_constant(A, k) == pytest.approx(brute, rel=1e-12)
 
+    @pytest.mark.parametrize("A, k", [
+        *((A, k) for A in range(2, 7) for k in range(1, 9)),
+        (5, 10),
+    ])
+    def test_against_continuant_oracle(self, A, k):
+        # A^k <= 2^20 evaluates the suffix table alone; (6, 8) and (5, 10)
+        # also need prefixes.
+        assert ck_constant(A, k) == pytest.approx(_ck_continuants(A, k), rel=1e-13)
+
+    def test_alphabet_beyond_table(self):
+        # A > 2^20 takes the last digit in blocks; c_1 = 2 log(A!) / A.
+        A = (1 << 20) + 5
+        assert ck_constant(A, 1) == pytest.approx(2 * math.lgamma(A + 1) / A, rel=1e-13)
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             ck_constant(5, 30)
+        for A, k in ((2, 21), (5, 9), (7, 3)):
+            assert ck_constant(A, k, budget=A**k) == pytest.approx(
+                _ck_continuants(A, k), rel=1e-13
+            )
+            with pytest.raises(BudgetError):
+                ck_constant(A, k, budget=A**k - 1)
 
 
 class TestChatEstimate:
