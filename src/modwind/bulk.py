@@ -1,4 +1,4 @@
-"""Vectorized sharded enumeration of all necklaces up to period N.
+"""Vectorized sharded enumeration and uniform sampling of necklaces.
 
 An even-shift necklace of period length n is a necklace of n/2 digit
 pairs, and its canonical primitive representative is the Lyndon word
@@ -15,21 +15,33 @@ first digit, or those with a given first pair.  `run` runs one shard
 per first pair and merges them in increasing order, so the result does
 not depend on the thread count.
 
+`sample` draws necklaces uniformly without canonicalizing them: all
+invariants are constant on an even-shift class, and each necklace of
+period length n has exactly n/2 words whose pair-word is aperiodic, so
+uniform aperiodic words are uniform necklaces.  Its words go through
+the same length and accumulation kernels as the enumeration.
+
 Digit matrices are multiplied in int64, which is exact as long as
-(A+1)^n < 2^62; the same bound keeps the keys below A^N < 2^62.  The
+(A+1)^n < 2^62; the same bound keeps the keys below A^N < 2^62, and
+enumeration stops there.  Past it, only reached by sampling, the trace
+is taken in float64 with the entries rescaled at every step.  Either
 float64 trace gives the geometric length with relative error far below
 the 1e-9 dual-method tolerance.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import os
+import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import invariants
+from . import invariants, necklace
 from .stats import JointCounts, merge
 
 # int64 matrix entries stay exact below this bound on (A+1)^n.
@@ -76,23 +88,52 @@ def _digits(A, n, keys):
     return digits
 
 
-def _geodesic_lengths(digits):
-    """Float64 geometric lengths 2*log(lambda) via exact int64 traces."""
+def _geodesic_lengths(A, digits):
+    """Float64 geometric lengths 2*log(lambda) of the words' matrices.
+
+    While (A+1)^n < 2^62 the trace t is exact in int64.  Past that bound
+    the entries are float64, and after every step all four are divided
+    by the power of two that brings the top-left entry, the largest, into
+    [1/2, 1); the exponents are summed, so neither the trace nor its
+    square is ever formed.
+    """
     count, n = digits.shape
-    a = np.ones(count, dtype=np.int64)
-    b = np.zeros(count, dtype=np.int64)
-    c = np.zeros(count, dtype=np.int64)
-    d = np.ones(count, dtype=np.int64)
+    if n * math.log2(A + 1) < _ENTRY_BITS:
+        a = np.ones(count, dtype=np.int64)
+        b = np.zeros(count, dtype=np.int64)
+        c = np.zeros(count, dtype=np.int64)
+        d = np.ones(count, dtype=np.int64)
+        for i in range(n):
+            w = digits[:, i].astype(np.int64)
+            a, b = a * w + b, a
+            c, d = c * w + d, c
+        t = (a + d).astype(np.float64)
+        return 2.0 * np.log((t + np.sqrt(t * t - 4.0)) / 2.0)
+    a = np.ones(count)
+    b = np.zeros(count)
+    c = np.zeros(count)
+    d = np.ones(count)
+    exp = np.zeros(count, dtype=np.int64)
     for i in range(n):
-        w = digits[:, i].astype(np.int64)
+        w = digits[:, i]
         a, b = a * w + b, a
         c, d = c * w + d, c
-    t = (a + d).astype(np.float64)
-    return 2.0 * np.log((t + np.sqrt(t * t - 4.0)) / 2.0)
+        _, k = np.frexp(a)
+        a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
+        exp += k
+    # lambda = T (1 + sqrt(1 - r^2)) / 2 with T = t 2^exp and r = 2 / T;
+    # r underflows only where r^2 is far below rounding.
+    t = a + d
+    r = np.ldexp(2.0 / t, -exp)
+    return 2.0 * (np.log(t) + (exp - 1) * math.log(2.0) + np.log1p(np.sqrt(1.0 - r * r)))
 
 
 def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
-    """Fold a block of canonical primitive words into the accumulator."""
+    """Fold a block of primitive words into the accumulator.
+
+    Any word of a necklace will do: every invariant is constant on its
+    class.
+    """
     A = acc.A
     count = digits.shape[0]
     signs = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
@@ -104,12 +145,19 @@ def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
     lwmax = 2 * A * n
     comp = (psi + pmax) * (lwmax + 1) + lw
     # Only the span of grid cells this block touches, so small blocks of
-    # a large-A run stay cheap; grid_cells bounds it.
+    # a large-A run stay cheap.  Enumeration is held to GRID_CAP cells,
+    # but sampled words at large A * n can spread a few draws over a much
+    # wider span, which is sorted instead of counted densely.
     low = int(comp.min())
-    counts = np.bincount(comp - low)
-    for i in np.nonzero(counts)[0]:
-        p, w = divmod(int(i) + low, lwmax + 1)
-        acc.table[(n, p - pmax, w)] += int(counts[i])
+    if int(comp.max()) - low < _CHUNK:
+        counts = np.bincount(comp - low)
+        cells = np.nonzero(counts)[0]
+        counts = counts[cells]
+    else:
+        cells, counts = np.unique(comp - low, return_counts=True)
+    for i, k in zip(cells.tolist(), counts.tolist()):
+        p, w = divmod(i + low, lwmax + 1)
+        acc.table[(n, p - pmax, w)] += k
 
     row = acc._hist_row(n)
     x = psi / np.sqrt(lg)
@@ -135,7 +183,8 @@ def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
             word = tuple(int(v) for v in digits[i])
             logsum = invariants.geodesic_length_logsum(word)
             eigen = invariants.geodesic_length_eigen(word)
-            rel = abs(logsum - eigen) / eigen
+            # Both oracles, and the float64 length the block was binned by.
+            rel = max(abs(logsum - eigen), abs(lg[i] - eigen)) / eigen
             acc.check_count += 1
             acc.check_max_rel = max(acc.check_max_rel, rel)
     return count
@@ -156,7 +205,7 @@ def run_shard(A, N, prefix, hist=None, check_rate=0):
             for keys in _lyndon_keys(A, n, c):
                 if keys.size:
                     block = _digits(A, n, keys)
-                    lg = _geodesic_lengths(block)
+                    lg = _geodesic_lengths(A, block)
                     checked += _accumulate_block(acc, n, block, lg, check_rate, checked)
     return acc
 
@@ -200,7 +249,64 @@ def run(A, N, hist=None, threads=1, check_rate=0, progress=None):
     """
     _check_feasible(A, N)
     jobs = [(A, N, p, hist, check_rate) for p in shard_prefixes(A, 2)]
-    if threads <= 1:
+    # The pool forks all its workers at once, so never more than can run.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(jobs), cpus or 1)
+    if workers <= 1:
         return _merge_in_order(map(_worker, jobs), len(jobs), progress)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return _merge_in_order(pool.map(_worker, jobs), len(jobs), progress)
+
+
+def _aperiodic(block):
+    """Rows whose pair-word differs from each of its proper rotations.
+
+    A pair-word of length m equal to its rotation by some s pairs equals
+    its rotation by a proper divisor of m, and a word whose period
+    divides its length is periodic exactly when it equals its own shift.
+    """
+    n = block.shape[1]
+    m = n // 2
+    keep = np.ones(len(block), dtype=bool)
+    for s in range(1, m):
+        if m % s == 0:
+            keep &= (block[:, 2 * s:] != block[:, :-2 * s]).any(axis=1)
+    return keep
+
+
+def sample(A, N, count, seed, hist=None, check_rate=0):
+    """Accumulate `count` independent uniform draws from the necklaces of
+    period length <= N.
+
+    Each draw's period length n comes from one exact integer draw over
+    pi_exact(A, N), so it has probability |P_n| / pi_exact(A, N) for any
+    N.  The draws of each n are uniform words on [A]^n, made in numpy
+    blocks of at most _CHUNK digits, keeping the words whose pair-word is
+    aperiodic.  The result depends on the seed alone.
+    """
+    # _accumulate_block keys a word by its int64 (psi, lw) grid cell.
+    if grid_cells(A, N) >= 1 << 63:
+        raise ValueError(f"the (psi, lw) grid of A={A}, N={N} overflows int64")
+    lengths = range(2, N + 1, 2)
+    weights = [necklace.count_Pn(A, n) for n in lengths]
+    bounds = list(itertools.accumulate(weights))
+    rng = random.Random(seed)
+    draws = Counter(bisect.bisect_right(bounds, rng.randrange(bounds[-1]))
+                    for _ in range(count))
+    words = np.random.default_rng(rng.getrandbits(128))
+    dtype = np.min_scalar_type(A)
+    acc = JointCounts(A, N, hist)
+    checked = 0
+    for i, n in enumerate(lengths):
+        need = draws[i]
+        # Share of [A]^n that is kept: n/2 words of each necklace.
+        kept = weights[i] * (n // 2) / A**n
+        while need:
+            size = min(max(1, _CHUNK // n), math.ceil(need / kept))
+            block = words.integers(1, A, size=(size, n), endpoint=True, dtype=dtype)
+            block = block[_aperiodic(block)][:need]
+            if len(block):
+                lg = _geodesic_lengths(A, block)
+                checked += _accumulate_block(acc, n, block, lg, check_rate, checked)
+                need -= len(block)
+    return acc

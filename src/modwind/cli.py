@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import random
 import sys
 
 from . import bulk, invariants, necklace, stats, svgplot, verify
@@ -26,6 +25,9 @@ EXIT_RESOURCE = 4
 WORK_CAP = 10**9
 # Each shard allocates up to bulk.grid_cells(A, N) int64 counters.
 GRID_CAP = 1 << 24
+# verify's brute-force scans walk words in pure Python: 4.9e5 words
+# (A = 5, N = 8) take about 30 s.
+VERIFY_CAP = 10**6
 
 NORM_SIGMA = {
     stats.PERIOD: lambda A, tol: float(invariants.sigma_p2(A)),
@@ -43,11 +45,14 @@ def _progress(done, total):
 
 def _threads(value):
     try:
-        return int(value)
+        threads = int(value)
+        if threads >= 1:
+            return threads
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"thread count (--threads or MODWIND_THREADS) must be an integer, got {value!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"thread count (--threads or MODWIND_THREADS) must be an integer >= 1, got {value!r}"
+    )
 
 
 def _even(value):
@@ -177,24 +182,11 @@ def cmd_count(args):
     return EXIT_OK
 
 
-def _sampled_accumulator(args, hist):
-    acc = stats.JointCounts(args.A, args.N, hist)
-    weights = [necklace.count_Pn(args.A, n) for n in range(2, args.N + 1, 2)]
-    total = sum(weights)
-    rng = random.Random(args.seed)
-    for _ in range(args.sample):
-        r = rng.randrange(total)
-        for i, w in enumerate(weights):
-            if r < w:
-                n = 2 * (i + 1)
-                break
-            r -= w
-        nk = necklace.sample_uniform_rng(args.A, n, rng)
-        acc.accumulate(invariants.build_record(nk))
-    return acc
-
-
 def cmd_dist(args):
+    # One histogram row of bins + 2 cells per period length.
+    if args.N // 2 * (args.bins + 2) > GRID_CAP:
+        print("histogram exceeds the grid cap; use fewer --bins", file=sys.stderr)
+        return EXIT_RESOURCE
     hist = stats.default_hist(args.A, args.bins)
     if args.sample is None and _too_large(args.A, args.N):
         print("workload exceeds the exhaustive cap; use --sample", file=sys.stderr)
@@ -202,7 +194,7 @@ def cmd_dist(args):
     # Before any sampling or enumeration: ĉ may be over its budget.
     sigma2 = NORM_SIGMA[args.norm](args.A, args.tol)
     if args.sample is not None:
-        acc = _sampled_accumulator(args, hist)
+        acc = bulk.sample(args.A, args.N, args.sample, args.seed, hist)
     else:
         acc = bulk.run(args.A, args.N, hist=hist, threads=args.threads,
                        progress=_progress)
@@ -282,6 +274,9 @@ def cmd_charfn(args):
 
 
 def cmd_verify(args):
+    if verify.scan_size(args.A, args.N) > VERIFY_CAP or _too_large(args.A, args.N):
+        print("verification exceeds the work cap", file=sys.stderr)
+        return EXIT_RESOURCE
     results = verify.run_suite(args.A, args.N)
     failed = False
     for name, failures in results:

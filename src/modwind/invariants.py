@@ -17,10 +17,10 @@ import numpy as np
 from mpmath import mp
 
 from .cfcore import (
+    MatrixZ,
     as_word,
     eigenvalue_max,
     fixed_points,
-    gauss_shift,
     matrix_of_word,
 )
 from .errors import BudgetError
@@ -43,6 +43,21 @@ def word_length(word):
     return 2 * sum(word)
 
 
+def _rotation_matrices(word):
+    """Matrices of the rotations gauss_shift(word, j) for j = 1, ..., n.
+
+    Rotating a off the front conjugates the matrix by M(a) = [[a, 1], [1, 0]]:
+    M(a w') = M(a) M(w') gives M(w' a) = M(a)^-1 M(a w') M(a), with
+    M(a)^-1 = [[0, 1], [1, -a]].  Each matrix is the same exact integer
+    matrix as matrix_of_word of the rotation, at O(1) cost instead of O(n).
+    """
+    word = as_word(word)
+    m = matrix_of_word(word)
+    for a in word:
+        m = MatrixZ(0, 1, 1, -a) @ m @ MatrixZ(a, 1, 1, 0)
+        yield m
+
+
 def geodesic_length_logsum(word, precision=128):
     """2 * sum_j log(value of the j-th rotation of the period).
 
@@ -57,8 +72,7 @@ def geodesic_length_logsum(word, precision=128):
     with mp.workprec(precision + 16):
         total = mp.mpf(0)
         sqrt_disc = None
-        for j in range(1, n + 1):
-            m = matrix_of_word(gauss_shift(word, j))
+        for m in _rotation_matrices(word):
             w, _ = fixed_points(m)
             if sqrt_disc is None:
                 sqrt_disc = mp.sqrt(w.D)

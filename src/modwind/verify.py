@@ -112,10 +112,20 @@ def check_shard_independence(A, N):
     return failures
 
 
+# The longest words the brute-force scans walk.
+SCAN_LENGTH = 10
+
+
+def scan_size(A, N):
+    """Words of [A]^n, n <= min(N, SCAN_LENGTH), that run_suite's
+    longest scan walks; the other scans stop at shorter words."""
+    return sum(A**n for n in range(1, min(N, SCAN_LENGTH) + 1))
+
+
 def run_suite(A, N):
     """Returns a list of (name, failures) pairs."""
     results = []
-    results.append(("min_period_counts", check_min_period_counts(A, min(N, 10))))
+    results.append(("min_period_counts", check_min_period_counts(A, min(N, SCAN_LENGTH))))
     results.append(("necklace_counts", check_necklace_counts(A, min(N, 8))))
     results.append(("moment_identities", check_moment_identities(A, min(N, 8))))
     dual_failures, _ = check_dual_lengths(A, min(N, 6))

@@ -1,14 +1,18 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from collections import Counter
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +76,75 @@ class TestBulk:
     def test_infeasible_configuration(self):
         with pytest.raises(ValueError):
             bulk.run_shard(100, 12, ())
+
+    def test_sparse_block_table(self, monkeypatch):
+        # Blocks whose cell span passes _CHUNK are sorted, not counted densely.
+        dense = bulk.run_shard(4, 8, ())
+        monkeypatch.setattr(bulk, "_CHUNK", 64)
+        assert bulk.run_shard(4, 8, ()).table == dense.table
+
+    def test_pool_size_bounded(self, monkeypatch):
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bulk, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: set(range(8)))
+        bulk.run(2, 4, threads=100_000)  # 4 first-pair shards
+        bulk.run(3, 4, threads=100_000)  # 9 shards, 8 usable CPUs
+        bulk.run(3, 4, threads=3)
+        assert sizes == [4, 8, 3]
+        monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: {0})
+        bulk.run(3, 4, threads=100_000)
+        assert sizes == [4, 8, 3]
+
+
+class TestSample:
+    def test_cells_match_exhaustive_table(self):
+        draws = 60_000
+        exact = bulk.run(3, 6).table
+        total = sum(exact.values())
+        sampled = bulk.sample(3, 6, draws, seed=2024).table
+        assert sum(sampled.values()) == draws
+        assert set(sampled) <= set(exact)
+        stat = sum((sampled[k] - draws * c / total) ** 2 / (draws * c / total)
+                   for k, c in exact.items())
+        pval = mpmath.gammainc((len(exact) - 1) / 2, stat / 2, mpmath.inf, regularized=True)
+        assert pval > 1e-6
+
+    @pytest.mark.parametrize("N", [14, 40])  # below and past the int64 trace bound
+    def test_dual_length_check(self, N):
+        acc = bulk.sample(9, N, 200, seed=N, check_rate=1)
+        assert acc.check_count == 200
+        assert acc.check_max_rel < 1e-9
+
+    def test_float_trace_route(self, monkeypatch):
+        # The rescaled float64 trace, forced below the bound, against exact int64.
+        words = np.array(list(itertools.product(range(1, 4), repeat=6)), dtype=np.uint8)
+        exact = bulk._geodesic_lengths(3, words)
+        monkeypatch.setattr(bulk, "_ENTRY_BITS", 0)
+        assert np.allclose(bulk._geodesic_lengths(3, words), exact, rtol=1e-14, atol=0)
+
+    def test_seed_determinism(self):
+        one = bulk.sample(5, 8, 5000, seed=3)
+        two = bulk.sample(5, 8, 5000, seed=3)
+        assert one.table == two.table
+        for n in one.lg_hist:
+            assert (one.lg_hist[n] == two.lg_hist[n]).all()
+            assert one.lg_moments[n] == two.lg_moments[n]
+            assert one.ratio_moments[n] == two.ratio_moments[n]
+        assert bulk.sample(5, 8, 5000, seed=4).table != one.table
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +247,12 @@ class TestCliDist:
         assert code == 4
         assert "sample" in err
 
+    def test_sample_past_int64_bound(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "dist", "--A", "9", "--N", "40", "--norm", "period",
+                               "--sample", "200", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["count"] == 200
+
 
 class TestCliConstants:
     def test_report(self, capsys):
@@ -230,6 +309,12 @@ class TestCliExitCodes:
         (["constants", "--A", "100000000"], 4),
         (["charfn", "--A", "3", "--N", "4", "--t", "inf"], 2),
         (["charfn", "--A", "3", "--N", "4", "--t", "nan"], 2),
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000"], 4),
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000",
+          "--sample", "10"], 4),
+        (["dist", "--A", str(2**32), "--N", "2", "--norm", "period", "--sample", "5"], 2),
+        (["count", "--A", "3", "--N", "4", "--threads", "0"], 2),
+        (["count", "--A", "3", "--N", "4", "--threads", "-2"], 2),
     ])
     def test_invalid_input(self, argv, expected, tmp_path):
         proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
@@ -237,11 +322,12 @@ class TestCliExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_malformed_thread_environment(self, tmp_path):
-        proc = run_python("-m", "modwind.cli", "count", "--A", "3", "--N", "4",
-                          cwd=tmp_path, MODWIND_THREADS="abc")
-        assert proc.returncode == 2, proc.stderr
-        assert "MODWIND_THREADS" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        for value in ("abc", "0"):
+            proc = run_python("-m", "modwind.cli", "count", "--A", "3", "--N", "4",
+                              cwd=tmp_path, MODWIND_THREADS=value)
+            assert proc.returncode == 2, proc.stderr
+            assert "MODWIND_THREADS" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_escaping_value_error_is_usage(self, tmp_path):
         # Any ValueError a command lets escape is reported as a usage error.
@@ -261,7 +347,7 @@ class TestCliExitCodes:
 
         sampled = []
         monkeypatch.setattr(invariants, "chat_estimate", over_budget)
-        monkeypatch.setattr(cli, "_sampled_accumulator", lambda *a: sampled.append(a))
+        monkeypatch.setattr(bulk, "sample", lambda *a: sampled.append(a))
         code, _, err = run_cli(
             capsys, "dist", "--A", "6", "--N", "12", "--norm", "geom",
             "--sample", "200", "--out-dir", str(tmp_path),
@@ -305,11 +391,20 @@ class TestLargeAlphabet:
 
 class TestCliVerify:
     def test_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--A", "2", "--N", "6")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["passed"] is True
-        assert all(c["passed"] for c in payload["checks"])
+        for A, N in (("2", "6"), ("3", "8")):
+            code, out, _ = run_cli(capsys, "verify", "--A", A, "--N", N)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["passed"] is True
+            assert all(c["passed"] for c in payload["checks"])
+
+    def test_work_cap(self, capsys):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "verify", "--A", "40", "--N", "12")
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert out == ""
+        assert "cap" in err
 
     def test_detects_tampering(self, capsys, monkeypatch):
         # negative control: a corrupted primitivity test must be caught

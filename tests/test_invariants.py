@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modwind import invariants, necklace
+from modwind.cfcore import gauss_shift, matrix_of_word
 from modwind.errors import BudgetError
 from modwind.invariants import (
     build_record,
@@ -98,6 +101,11 @@ class TestGeodesicLength:
                     a = geodesic_length_logsum(nk.rep)
                     b = geodesic_length_eigen(nk.rep)
                     assert abs(a - b) / b < 1e-9
+
+    @given(st.lists(st.integers(1, 1000), min_size=1, max_size=24))
+    def test_rotation_matrices_by_conjugation(self, word):
+        expected = [matrix_of_word(gauss_shift(word, j)) for j in range(1, len(word) + 1)]
+        assert list(invariants._rotation_matrices(word)) == expected
 
     def test_even_shift_invariance_sampled(self):
         rng = random.Random(99)
