@@ -16,7 +16,7 @@ def main():
     print(f"word {word}")
     print(f"matrix [[{m.a}, {m.b}], [{m.c}, {m.d}]], trace {m.trace}, det {m.det}")
 
-    w, wp = (s.reduced() for s in cfcore.fixed_points(m))
+    w, wp = cfcore.fixed_points(m)
     print(f"fixed points ({w.p} + {w.r}*sqrt({w.D}))/{w.q} "
           f"and ({wp.p} + {wp.r}*sqrt({wp.D}))/{wp.q}")
     print(f"attracting value {float(w):.12f}")

@@ -164,19 +164,8 @@ def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
     idx = np.floor((x - acc.hist.lo) / acc.hist.width).astype(np.int64)
     np.clip(idx, -1, acc.hist.bins, out=idx)
     row += np.bincount(idx + 1, minlength=acc.hist.bins + 2)
-
-    mom = acc.lg_moments[n]
-    mom[0] += count
-    mom[1] += float(x.sum())
-    mom[2] += float((x * x).sum())
-    rat = acc.ratio_moments[n]
     rg = lg / n
-    rw = lw / n
-    rat[0] += count
-    rat[1] += float(rg.sum())
-    rat[2] += float((rg * rg).sum())
-    rat[3] += float(rw.sum())
-    rat[4] += float((rw * rw).sum())
+    acc.lg_sums[n] += (x.sum(), (x * x).sum(), rg.sum(), (rg * rg).sum())
 
     if check_rate:
         for i in range((-check_offset) % check_rate, count, check_rate):

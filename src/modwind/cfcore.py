@@ -60,29 +60,15 @@ class MatrixZ:
         return self.a + self.d
 
 
-def _square_part(D):
-    """Split D = s*s * m with m square-free; returns (s, m)."""
-    # Imported here: sympy is this function's only use, and importing it
-    # at module level would add its load time to every CLI call.
-    from sympy import factorint
-
-    s = 1
-    m = 1
-    for p, e in factorint(D).items():
-        s *= p ** (e // 2)
-        if e % 2:
-            m *= p
-    return s, m
-
-
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact value (p + r*sqrt(D)) / q with integer p, r, D >= 0, q != 0.
 
-    Stored with q > 0 and gcd(p, r, q) = 1.  D is not forced square-free
-    at construction (factoring huge discriminants would be wasteful);
-    `reduced()` extracts the square part, and equality compares reduced
-    forms, so surd equality is decidable.
+    Stored with q > 0 and gcd(p, r, q) = 1; a square D is folded into p.
+    D is not made square-free (factoring huge discriminants would be
+    wasteful).  Equality compares the key (p/q, sign r, r^2 D / q^2)
+    instead: with D not a square, sqrt(D) is irrational, so two surds
+    are equal exactly when their keys are.
     """
 
     p: int
@@ -96,8 +82,9 @@ class QuadraticSurd:
             raise ValueError("zero denominator")
         if D < 0:
             raise ValueError("negative radicand")
-        if r == 0 or D == 0:
-            r, D = 0, 0
+        s = math.isqrt(D)
+        if r == 0 or s * s == D:
+            p, r, D = p + r * s, 0, 0
         if q < 0:
             p, r, q = -p, -r, -q
         g = math.gcd(math.gcd(abs(p), abs(r)), q)
@@ -108,32 +95,27 @@ class QuadraticSurd:
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "q", q)
 
-    def reduced(self):
-        """Canonical form: D square-free, integer square roots folded into p."""
-        if self.D == 0:
-            return self
-        s, m = _square_part(self.D)
-        if m == 1:
-            return QuadraticSurd(self.p + self.r * s, 0, 0, self.q)
-        return QuadraticSurd(self.p, self.r * s, m, self.q)
+    def _key(self):
+        sign = (self.r > 0) - (self.r < 0)
+        return Fraction(self.p, self.q), sign, Fraction(self.r * self.r * self.D, self.q**2)
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticSurd):
             return NotImplemented
-        a, b = self.reduced(), other.reduced()
-        return (a.p, a.r, a.D, a.q) == (b.p, b.r, b.D, b.q)
+        return self._key() == other._key()
 
     def __hash__(self):
-        a = self.reduced()
-        return hash((a.p, a.r, a.D, a.q))
+        return hash(self._key())
 
     def _coerce(self, other):
         if isinstance(other, QuadraticSurd):
             if other.D != 0 and self.D != 0 and other.D != self.D:
-                a, b = self.reduced(), other.reduced()
-                if a.D != 0 and b.D != 0 and a.D != b.D:
+                # sqrt(D') = s sqrt(D) / D when D D' = s^2
+                s = math.isqrt(self.D * other.D)
+                if s * s != self.D * other.D:
                     raise ValueError("mixed radicands")
-                return a, b
+                return self, QuadraticSurd(other.p * self.D, other.r * s, self.D,
+                                           other.q * self.D)
             return self, other
         if isinstance(other, Fraction):
             return self, QuadraticSurd(other.numerator, 0, 0, other.denominator)
@@ -176,8 +158,7 @@ class QuadraticSurd:
     __rmul__ = __mul__
 
     def is_zero(self):
-        r = self.reduced()
-        return r.p == 0 and r.r == 0
+        return self.p == 0 and self.r == 0
 
     def to_mpf(self, precision=128):
         """Numerical value at the requested binary precision."""

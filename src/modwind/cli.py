@@ -96,8 +96,12 @@ def _finite(value):
 
 def _too_large(A, N):
     """True when an exhaustive run passes WORK_CAP or GRID_CAP."""
-    workload = sum(A**n for n in range(2, N + 1, 2))
-    return workload > WORK_CAP or bulk.grid_cells(A, N) > GRID_CAP
+    workload = 0
+    for n in range(2, N + 1, 2):
+        workload += A**n
+        if workload > WORK_CAP:
+            return True
+    return bulk.grid_cells(A, N) > GRID_CAP
 
 
 def build_parser():
@@ -314,6 +318,10 @@ def main(argv=None):
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
+    except OverflowError as exc:
+        print(f"modwind {args.command}: result exceeds the float range: {exc}",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"modwind {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,6 +8,7 @@ one-to-one correspondence with a primitive low-lying closed geodesic.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,8 +17,9 @@ from .cfcore import as_word
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Divisors of n in increasing order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def minimal_period(word):
@@ -152,45 +154,21 @@ def pi_asymptotic(A, N):
     return CountReport(A=A, N=N, exact=exact, asymptotic=asymptotic)
 
 
-def _owned_by_shard(rep, shard):
-    """A shard owns a necklace when the periodic extension of the
-    canonical representative starts with the shard's digit prefix."""
-    if not shard:
-        return True
-    n = len(rep)
-    return all(shard[i] == rep[i % n] for i in range(len(shard)))
-
-
-def enumerate_necklaces(A, N, shard=(), visitor=None):
-    """Visit every necklace of period length <= N owned by the shard.
+def enumerate_necklaces(A, N):
+    """Every necklace of period length <= N.
 
     Reference implementation: scans all words of each even length in
-    lexicographic order and keeps the canonical primitive ones.  Any
-    prefix-free covering family of shards partitions the full set, so
-    shards can run independently and merge downstream.
+    lexicographic order and keeps the canonical primitive ones.
     """
     _check_bound(A)
     if N % 2 != 0:
         raise ValueError("N must be even")
-    shard = tuple(int(d) for d in shard)
-    for d in shard:
-        if not 1 <= d <= A:
-            raise ValueError(f"shard digit {d} outside 1..{A}")
     out = []
-    sink = visitor if visitor is not None else out.append
     for n in range(2, N + 1, 2):
-        k = min(len(shard), n)
-        prefix = shard[:k]
-        for suffix in itertools.product(range(1, A + 1), repeat=n - k):
-            word = prefix + suffix
-            if not is_primitive(word):
-                continue
-            if word != canonical_even_shift(word):
-                continue
-            if not _owned_by_shard(word, shard):
-                continue
-            sink(Necklace(word))
-    return None if visitor is not None else out
+        for word in itertools.product(range(1, A + 1), repeat=n):
+            if is_primitive(word) and word == canonical_even_shift(word):
+                out.append(Necklace(word))
+    return out
 
 
 def sample_uniform(A, n, rng_seed):

@@ -55,9 +55,10 @@ class JointCounts:
     """Exact mergeable accumulator of winding statistics.
 
     table maps (n, psi, lw) to an exact count.  Per period length n we
-    also keep a binned histogram and running moments of psi/sqrt(lg),
-    and running moments of the ratios lg/n and lw/n, so reports can be
-    restricted to any even N' <= N without re-enumerating.
+    also keep a binned histogram of x = psi/sqrt(lg) and the float sums
+    lg_sums[n] = [sum x, sum x^2, sum lg/n, sum (lg/n)^2], so reports can
+    be restricted to any even N' <= N without re-enumerating.  Counts,
+    and every statistic of psi and lw, come from the table.
     """
 
     def __init__(self, A, N, hist=None):
@@ -68,8 +69,7 @@ class JointCounts:
         self.hist = hist if hist is not None else default_hist(A)
         self.table = Counter()
         self.lg_hist = {}
-        self.lg_moments = {}
-        self.ratio_moments = {}
+        self.lg_sums = {}
         self.check_count = 0
         self.check_max_rel = 0.0
 
@@ -79,8 +79,7 @@ class JointCounts:
     def _hist_row(self, n):
         if n not in self.lg_hist:
             self.lg_hist[n] = np.zeros(self.hist.bins + 2, dtype=np.int64)
-            self.lg_moments[n] = [0, 0.0, 0.0]
-            self.ratio_moments[n] = [0, 0.0, 0.0, 0.0, 0.0]
+            self.lg_sums[n] = np.zeros(4)
         return self.lg_hist[n]
 
     def accumulate(self, rec):
@@ -97,18 +96,8 @@ class JointCounts:
         x = psi / math.sqrt(rec.lg)
         idx = int(math.floor((x - self.hist.lo) / self.hist.width))
         row[min(max(idx, -1), self.hist.bins) + 1] += 1
-        mom = self.lg_moments[n]
-        mom[0] += 1
-        mom[1] += x
-        mom[2] += x * x
-        rat = self.ratio_moments[n]
         rg = rec.lg / n
-        rw = rec.lw / n
-        rat[0] += 1
-        rat[1] += rg
-        rat[2] += rg * rg
-        rat[3] += rw
-        rat[4] += rw * rw
+        self.lg_sums[n] += (x, x * x, rg, rg * rg)
 
     def total_count(self):
         return sum(self.table.values())
@@ -124,8 +113,7 @@ class JointCounts:
         for n in self.lg_hist:
             if n <= N:
                 out.lg_hist[n] = self.lg_hist[n].copy()
-                out.lg_moments[n] = list(self.lg_moments[n])
-                out.ratio_moments[n] = list(self.ratio_moments[n])
+                out.lg_sums[n] = self.lg_sums[n].copy()
         out.check_count = self.check_count
         out.check_max_rel = self.check_max_rel
         return out
@@ -141,10 +129,7 @@ def merge(a, b):
         for n in src.lg_hist:
             row = out._hist_row(n)
             row += src.lg_hist[n]
-            for i in range(3):
-                out.lg_moments[n][i] += src.lg_moments[n][i]
-            for i in range(5):
-                out.ratio_moments[n][i] += src.ratio_moments[n][i]
+            out.lg_sums[n] += src.lg_sums[n]
     out.check_count = a.check_count + b.check_count
     out.check_max_rel = max(a.check_max_rel, b.check_max_rel)
     return out
@@ -166,15 +151,21 @@ def _table_values(acc, normalization):
     return values
 
 
+def _geom_counts(acc):
+    """Binned psi/sqrt(lg) histogram summed over period lengths."""
+    counts = np.zeros(acc.hist.bins + 2, dtype=np.int64)
+    for row in acc.lg_hist.values():
+        counts += row
+    return counts
+
+
 def empirical_cdf(acc, normalization):
     """Right-continuous empirical CDF as a list of (x, F(x)) points."""
     total = acc.total_count()
     if total == 0:
         raise ValueError("empty accumulator")
     if normalization == GEOM:
-        counts = np.zeros(acc.hist.bins + 2, dtype=np.int64)
-        for n, row in acc.lg_hist.items():
-            counts += row
+        counts = _geom_counts(acc)
         points = [(acc.hist.lo, counts[0] / total)]
         running = int(counts[0])
         for i in range(acc.hist.bins):
@@ -213,11 +204,8 @@ class DistributionReport:
 def _moments(acc, normalization):
     total = acc.total_count()
     if normalization == GEOM:
-        cnt = sum(m[0] for m in acc.lg_moments.values())
-        s = math.fsum(m[1] for m in acc.lg_moments.values())
-        s2 = math.fsum(m[2] for m in acc.lg_moments.values())
-        mean = s / cnt
-        return mean, s2 / cnt - mean * mean
+        mean = math.fsum(m[0] for m in acc.lg_sums.values()) / total
+        return mean, math.fsum(m[1] for m in acc.lg_sums.values()) / total - mean * mean
     values = _table_values(acc, normalization)
     mean = math.fsum(c * x for x, c in values.items()) / total
     var = math.fsum(c * x * x for x, c in values.items()) / total - mean * mean
@@ -244,9 +232,7 @@ def ks_distance(acc, normalization, sigma2):
     ks = max(ks, 1.0 - prev)
     bound = 0.0
     if normalization == GEOM:
-        counts = np.zeros(acc.hist.bins + 2, dtype=np.int64)
-        for row in acc.lg_hist.values():
-            counts += row
+        counts = _geom_counts(acc)
         tail = int(counts[0] + counts[-1])
         bound = (int(counts[1:-1].max()) + tail) / total
     mean, var = _moments(acc, normalization)
@@ -280,17 +266,19 @@ def empirical_char_fn(acc, normalization, t):
 
 
 def ratio_report(acc):
-    """Sample mean/variance of lg/lp and lw/lp: (mean_g, var_g, mean_w, var_w)."""
-    cnt = sum(m[0] for m in acc.ratio_moments.values())
+    """Sample mean/variance of lg/lp and lw/lp: (mean_g, var_g, mean_w, var_w).
+
+    The lw/lp moments come from the exact table, the lg/lp ones from lg_sums.
+    """
+    cnt = acc.total_count()
     if cnt == 0:
         raise ValueError("empty accumulator")
-    sg = math.fsum(m[1] for m in acc.ratio_moments.values())
-    sg2 = math.fsum(m[2] for m in acc.ratio_moments.values())
-    sw = math.fsum(m[3] for m in acc.ratio_moments.values())
-    sw2 = math.fsum(m[4] for m in acc.ratio_moments.values())
-    mean_g = sg / cnt
-    mean_w = sw / cnt
-    return mean_g, sg2 / cnt - mean_g**2, mean_w, sw2 / cnt - mean_w**2
+    mean_g = math.fsum(m[2] for m in acc.lg_sums.values()) / cnt
+    var_g = math.fsum(m[3] for m in acc.lg_sums.values()) / cnt - mean_g**2
+    cells = acc.table.items()
+    mean_w = math.fsum(c * lw / n for (n, _, lw), c in cells) / cnt
+    var_w = math.fsum(c * (lw / n) ** 2 for (n, _, lw), c in cells) / cnt - mean_w**2
+    return mean_g, var_g, mean_w, var_w
 
 
 def _fmt(x):

@@ -46,10 +46,9 @@ class TestBulk:
             assert fast.table == slow.table
             for n in slow.lg_hist:
                 assert (fast.lg_hist[n] == slow.lg_hist[n]).all()
-                assert fast.lg_moments[n][0] == slow.lg_moments[n][0]
-                assert fast.lg_moments[n][2] == pytest.approx(
-                    slow.lg_moments[n][2], rel=1e-12
-                )
+                # sum x cancels to about 0; the other three sums are positive
+                assert fast.lg_sums[n][0] == pytest.approx(slow.lg_sums[n][0], abs=1e-9)
+                assert fast.lg_sums[n][1:] == pytest.approx(slow.lg_sums[n][1:], rel=1e-12)
 
     def test_shard_partition(self):
         whole = bulk.run_shard(3, 6, ())
@@ -66,7 +65,7 @@ class TestBulk:
         assert one.table == two.table
         for n in one.lg_hist:
             assert (one.lg_hist[n] == two.lg_hist[n]).all()
-            assert one.lg_moments[n] == two.lg_moments[n]
+            assert (one.lg_sums[n] == two.lg_sums[n]).all()
 
     def test_dual_length_sampling(self):
         acc = bulk.run_shard(5, 6, (), check_rate=16)
@@ -142,8 +141,7 @@ class TestSample:
         assert one.table == two.table
         for n in one.lg_hist:
             assert (one.lg_hist[n] == two.lg_hist[n]).all()
-            assert one.lg_moments[n] == two.lg_moments[n]
-            assert one.ratio_moments[n] == two.ratio_moments[n]
+            assert (one.lg_sums[n] == two.lg_sums[n]).all()
         assert bulk.sample(5, 8, 5000, seed=4).table != one.table
 
 
@@ -315,11 +313,25 @@ class TestCliExitCodes:
         (["dist", "--A", str(2**32), "--N", "2", "--norm", "period", "--sample", "5"], 2),
         (["count", "--A", "3", "--N", "4", "--threads", "0"], 2),
         (["count", "--A", "3", "--N", "4", "--threads", "-2"], 2),
+        (["count", "--A", "2", "--N", "2000"], 4),
+        (["count", "--A", "5", "--N", "500"], 4),
     ])
     def test_invalid_input(self, argv, expected, tmp_path):
         proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
         assert proc.returncode == expected, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--A", "3", "--N", "1000000", "--exact"],
+        ["charfn", "--A", "3", "--N", "80000", "--t", "1"],
+    ])
+    def test_work_cap_stops_early(self, argv, capsys):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert out == ""
+        assert "cap" in err
 
     def test_malformed_thread_environment(self, tmp_path):
         for value in ("abc", "0"):

@@ -125,6 +125,21 @@ class TestSurd:
     def test_float_value(self):
         assert float(QuadraticSurd(1, 1, 5, 2)) == pytest.approx(1.618033988749895)
 
+    @given(st.integers(-50, 50), st.integers(-20, 20), st.integers(0, 200),
+           st.integers(1, 12), st.integers(-30, 30).filter(bool),
+           st.integers(-50, 50), st.integers(-20, 20), st.integers(-30, 30).filter(bool))
+    def test_radicand_square_factor(self, p, r, D, k, q, p2, r2, q2):
+        # r k sqrt(D) = r sqrt(D k^2): one value under two radicands
+        a = QuadraticSurd(p, r * k, D, q)
+        b = QuadraticSurd(p, r, D * k * k, q)
+        assert a == b
+        assert hash(a) == hash(b)
+        c = QuadraticSurd(p2, r2, D * k * k, q2)
+        total = QuadraticSurd(p * q2 + p2 * q, (r * q2 + r2 * q) * k, D, q * q2)
+        assert a + c == total
+        assert c + a == total
+        assert float(a + c) == pytest.approx(float(a) + float(c), rel=1e-9, abs=1e-9)
+
 
 class TestPeriodicValue:
     def test_examples(self):

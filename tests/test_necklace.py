@@ -94,6 +94,10 @@ class TestMobius:
 
 
 class TestCounts:
+    def test_divisors_match_brute_force(self):
+        for n in range(1, 3000):
+            assert necklace._divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
     def test_count_min_period_examples(self):
         assert count_min_period(2, 4) == 12
         assert count_min_period(2, 1) == 2
@@ -173,25 +177,6 @@ class TestEnumerate:
                 for n in range(2, N + 1, 2):
                     want |= brute_classes(A, n)
                 assert got == want
-
-    def test_shard_cover_disjoint(self):
-        full = [nk.rep for nk in enumerate_necklaces(3, 6)]
-        for depth in (1, 2):
-            sharded = []
-            for shard in itertools.product(range(1, 4), repeat=depth):
-                sharded.extend(
-                    nk.rep for nk in enumerate_necklaces(3, 6, shard=shard)
-                )
-            assert sorted(sharded) == sorted(full)
-
-    def test_visitor_callback(self):
-        seen = []
-        enumerate_necklaces(2, 4, visitor=seen.append)
-        assert len(seen) == 10
-
-    def test_invalid_shard_digit(self):
-        with pytest.raises(ValueError):
-            enumerate_necklaces(2, 4, shard=(3,))
 
 
 class TestSampling:
