@@ -1,19 +1,18 @@
 """Vectorized sharded enumeration and uniform sampling of necklaces.
 
-An even-shift necklace of period length n is a necklace of n/2 digit
+An even-shift necklace of period length n is a necklace of m = n/2 digit
 pairs, and its canonical primitive representative is the Lyndon word
-over the A^2 pairs, ordered (a, b) < (a', b') lexicographically: the
+over the Q = A^2 pairs, ordered (a, b) < (a', b') lexicographically: the
 pair-word strictly smaller than each of its proper rotations.  A word is
 held as its base-A integer key (digit d counts as d - 1), so a rotation
-by s pairs is one divmod by A^(n - 2s).  For each first pair c only the
-words whose later pairs are all >= c are generated, and one strict mask
-keeps those smaller than every proper rotation.
+by s pairs is one divmod by A^(n - 2s).  The candidates are the words
+whose later pairs are all >= the first pair c, numbered by c and then by
+the base-(Q - c) index of their later pairs; one strict mask keeps those
+smaller than every proper rotation.
 
-A shard is a digit prefix of length 0, 1 or 2 and owns the necklaces
-whose representative starts with it: all of them, those with a given
-first digit, or those with a given first pair.  `run` runs one shard
-per first pair and merges them in increasing order, so the result does
-not depend on the thread count.
+A shard is a range (n, lo, hi) of at most _CHUNK candidates of period
+length n.  `run` merges its shards in increasing order, so the result
+does not depend on the thread count.
 
 `sample` draws necklaces uniformly without canonicalizing them: all
 invariants are constant on an even-shift class, and each necklace of
@@ -47,8 +46,10 @@ from .stats import JointCounts, merge
 # int64 matrix entries stay exact below this bound on (A+1)^n.
 _ENTRY_BITS = 62
 
-# Candidate words generated per block.
+# Candidates per shard, and digits per sampled block.
 _CHUNK = 1 << 20
+# Candidates per enumeration block; larger blocks fall out of cache.
+_BLOCK = 1 << 15
 
 
 def _check_feasible(A, N):
@@ -61,22 +62,30 @@ def grid_cells(A, n):
     return ((A - 1) * n + 1) * (2 * A * n + 1)
 
 
-def _lyndon_keys(A, n, c):
-    """Keys of the Lyndon pair-words of length n/2 with first pair c,
-    one array per block of candidates."""
+def _candidate_ends(A, n):
+    """Cumulative candidate counts of period length n by first pair."""
+    return np.cumsum(np.arange(A * A, 0, -1, dtype=np.int64) ** (n // 2 - 1))
+
+
+def _lyndon_keys(A, n, lo, hi):
+    """Keys of the Lyndon pair-words among candidates lo..hi-1 of period
+    length n, one array per block."""
     m = n // 2
     Q = A * A
-    B = Q - c
-    total = B ** (m - 1)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        key = np.full(idx.size, c * Q ** (m - 1), dtype=np.int64)
-        for j in range(1, m):
-            key += (idx // B ** (m - 1 - j) % B + c) * Q ** (m - 1 - j)
+    ends = _candidate_ends(A, n)
+    for start in range(lo, hi, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
+        c = np.searchsorted(ends, idx, side="right")
+        # First pair c owns the (Q - c)^(m - 1) candidates ending at ends[c].
+        rest = idx - ends[c] + (Q - c) ** (m - 1)
+        key = c * Q ** (m - 1)
+        for j in range(m - 1, 0, -1):
+            rest, pair = np.divmod(rest, Q - c)
+            key += (pair + c) * Q ** (m - 1 - j)
         keep = np.ones(idx.size, dtype=bool)
         for s in range(1, m):
-            hi, lo = np.divmod(key, Q ** (m - s))
-            keep &= key < lo * Q**s + hi
+            head, tail = np.divmod(key, Q ** (m - s))
+            keep &= key < tail * Q**s + head
         yield key[keep]
 
 
@@ -128,14 +137,13 @@ def _geodesic_lengths(A, digits):
     return 2.0 * (np.log(t) + (exp - 1) * math.log(2.0) + np.log1p(np.sqrt(1.0 - r * r)))
 
 
-def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
+def _accumulate_block(acc, n, digits, lg, check_rate):
     """Fold a block of primitive words into the accumulator.
 
     Any word of a necklace will do: every invariant is constant on its
     class.
     """
     A = acc.A
-    count = digits.shape[0]
     signs = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
     wide = digits.astype(np.int64)
     psi = wide @ signs
@@ -168,7 +176,7 @@ def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
     acc.lg_sums[n] += (x.sum(), (x * x).sum(), rg.sum(), (rg * rg).sum())
 
     if check_rate:
-        for i in range((-check_offset) % check_rate, count, check_rate):
+        for i in range(0, len(digits), check_rate):
             word = tuple(int(v) for v in digits[i])
             logsum = invariants.geodesic_length_logsum(word)
             eigen = invariants.geodesic_length_eigen(word)
@@ -176,31 +184,28 @@ def _accumulate_block(acc, n, digits, lg, check_rate, check_offset):
             rel = max(abs(logsum - eigen), abs(lg[i] - eigen)) / eigen
             acc.check_count += 1
             acc.check_max_rel = max(acc.check_max_rel, rel)
-    return count
 
 
-def run_shard(A, N, prefix, hist=None, check_rate=0):
-    """Accumulate every necklace owned by one shard prefix."""
+def run_shard(A, N, n, lo, hi, hist=None, check_rate=0):
+    """Accumulate the necklaces among candidates lo..hi-1 of period length n."""
     _check_feasible(A, N)
-    prefix = tuple(prefix)
-    if len(prefix) > 2 or not all(1 <= d <= A for d in prefix):
-        raise ValueError(f"shard prefix {prefix} is not 0-2 digits in 1..{A}")
     acc = JointCounts(A, N, hist)
-    # The first pairs (a-1)*A + (b-1) that extend the prefix form one range.
-    first = sum((d - 1) * A ** (1 - i) for i, d in enumerate(prefix))
-    checked = 0
-    for n in range(2, N + 1, 2):
-        for c in range(first, first + A ** (2 - len(prefix))):
-            for keys in _lyndon_keys(A, n, c):
-                if keys.size:
-                    block = _digits(A, n, keys)
-                    lg = _geodesic_lengths(A, block)
-                    checked += _accumulate_block(acc, n, block, lg, check_rate, checked)
+    for keys in _lyndon_keys(A, n, lo, hi):
+        if keys.size:
+            block = _digits(A, n, keys)
+            _accumulate_block(acc, n, block, _geodesic_lengths(A, block), check_rate)
     return acc
 
 
-def shard_prefixes(A, length):
-    return list(itertools.product(range(1, A + 1), repeat=length))
+def shard_ranges(A, N):
+    """Every candidate of period length <= N, as (n, lo, hi) ranges of at
+    most _CHUNK candidates in increasing order."""
+    _check_feasible(A, N)
+    ranges = []
+    for n in range(2, N + 1, 2):
+        total = int(_candidate_ends(A, n)[-1])
+        ranges += [(n, lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    return ranges
 
 
 def _worker(args):
@@ -230,14 +235,13 @@ def _merge_in_order(shards, total, progress):
 
 
 def run(A, N, hist=None, threads=1, check_rate=0, progress=None):
-    """Full enumeration, one shard per first pair; returns the merged
-    accumulator.
+    """Full enumeration, one shard per range of shard_ranges; returns the
+    merged accumulator.
 
     Shards are merged in a fixed order, so the result is independent of
     the thread count.
     """
-    _check_feasible(A, N)
-    jobs = [(A, N, p, hist, check_rate) for p in shard_prefixes(A, 2)]
+    jobs = [(A, N, *r, hist, check_rate) for r in shard_ranges(A, N)]
     # The pool forks all its workers at once, so never more than can run.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, len(jobs), cpus or 1)
@@ -285,7 +289,6 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
     words = np.random.default_rng(rng.getrandbits(128))
     dtype = np.min_scalar_type(A)
     acc = JointCounts(A, N, hist)
-    checked = 0
     for i, n in enumerate(lengths):
         need = draws[i]
         # Share of [A]^n that is kept: n/2 words of each necklace.
@@ -295,7 +298,6 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
             block = words.integers(1, A, size=(size, n), endpoint=True, dtype=dtype)
             block = block[_aperiodic(block)][:need]
             if len(block):
-                lg = _geodesic_lengths(A, block)
-                checked += _accumulate_block(acc, n, block, lg, check_rate, checked)
+                _accumulate_block(acc, n, block, _geodesic_lengths(A, block), check_rate)
                 need -= len(block)
     return acc

@@ -148,9 +148,10 @@ class CountReport:
 
 def pi_asymptotic(A, N):
     """Asymptotic count c_A * A^N / N with c_A = 2 A^2 / (A^2 - 1)."""
-    exact = pi_exact(A, N)
+    # The float first: past its range it raises before pi_exact sums.
     c_A = Fraction(2 * A * A, A * A - 1)
     asymptotic = float(c_A * Fraction(A**N, N))
+    exact = pi_exact(A, N)
     return CountReport(A=A, N=N, exact=exact, asymptotic=asymptotic)
 
 

@@ -9,6 +9,7 @@ shard-independence of the accumulator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -98,17 +99,17 @@ def check_dual_lengths(A, n_max, tol=1e-9):
 
 
 def check_shard_independence(A, N):
+    """The default shard ranges against the same ranges cut in three."""
     failures = []
-    single = bulk.run_shard(A, N, ())
-    for length in (1, 2):
-        shards = [bulk.run_shard(A, N, p) for p in bulk.shard_prefixes(A, length)]
-        acc = shards[0]
-        for s in shards[1:]:
-            acc = merge(acc, s)
-        if acc.table != single.table:
-            failures.append(f"{length}-digit shard union differs from single pass")
-        if acc.total_count() != necklace.pi_exact(A, N):
-            failures.append(f"{length}-digit shard total != pi_exact")
+    ranges = bulk.shard_ranges(A, N)
+    thirds = [(n, lo + (hi - lo) * k // 3, lo + (hi - lo) * (k + 1) // 3)
+              for n, lo, hi in ranges for k in range(3)]
+    whole, cut = (functools.reduce(merge, [bulk.run_shard(A, N, *r) for r in layout])
+                  for layout in (ranges, thirds))
+    if cut.table != whole.table:
+        failures.append("union of the cut shards differs from the default shards")
+    if whole.total_count() != necklace.pi_exact(A, N):
+        failures.append("shard total != pi_exact")
     return failures
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -41,7 +42,7 @@ def reference_accumulator(A, N):
 class TestBulk:
     def test_matches_reference(self):
         for A, N in ((2, 8), (3, 6), (4, 8)):
-            fast = bulk.run_shard(A, N, ())
+            fast = bulk.run(A, N)
             slow = reference_accumulator(A, N)
             assert fast.table == slow.table
             for n in slow.lg_hist:
@@ -50,14 +51,45 @@ class TestBulk:
                 assert fast.lg_sums[n][0] == pytest.approx(slow.lg_sums[n][0], abs=1e-9)
                 assert fast.lg_sums[n][1:] == pytest.approx(slow.lg_sums[n][1:], rel=1e-12)
 
-    def test_shard_partition(self):
-        whole = bulk.run_shard(3, 6, ())
-        for depth in (1, 2):
-            parts = [bulk.run_shard(3, 6, p) for p in bulk.shard_prefixes(3, depth)]
-            merged = parts[0]
-            for p in parts[1:]:
-                merged = stats.merge(merged, p)
-            assert merged.table == whole.table
+    def test_shard_partition(self, monkeypatch):
+        # Ranges tile each period length's candidates, (Q - c)^(n/2 - 1) per first pair c.
+        monkeypatch.setattr(bulk, "_CHUNK", 7)
+        ranges = bulk.shard_ranges(3, 6)
+        for n in (2, 4, 6):
+            tiles = [(lo, hi) for m, lo, hi in ranges if m == n]
+            assert all(hi - lo <= 7 for lo, hi in tiles)
+            assert [lo for lo, _ in tiles] == [0] + [hi for _, hi in tiles[:-1]]
+            assert tiles[-1][1] == sum(k ** (n // 2 - 1) for k in range(1, 10))
+        whole = bulk.run(3, 6)
+        merged = functools.reduce(stats.merge, [bulk.run_shard(3, 6, *r) for r in ranges])
+        assert merged.table == whole.table
+
+    def test_shard_count_follows_work(self, monkeypatch):
+        calls = []
+        real = bulk.run_shard
+
+        def counted(*args):
+            calls.append(args[2:5])
+            return real(*args)
+
+        monkeypatch.setattr(bulk, "run_shard", counted)
+        bulk.run(300, 2)
+        assert calls == [(2, 0, 90_000)]
+        calls.clear()
+        bulk.run(30, 4)  # 900 + 900 * 901 / 2 candidates
+        assert calls == [(2, 0, 900), (4, 0, 405_450)]
+
+    @pytest.mark.parametrize("A, N", [(3, 8), (4, 6)])
+    def test_blocks_straddle_first_pairs(self, A, N, monkeypatch):
+        default = bulk.run(A, N)
+        monkeypatch.setattr(bulk, "_CHUNK", 11)
+        monkeypatch.setattr(bulk, "_BLOCK", 3)
+        small = bulk.run(A, N)
+        assert small.table == default.table
+        assert small.lg_hist.keys() == default.lg_hist.keys()
+        for n in default.lg_hist:
+            assert (small.lg_hist[n] == default.lg_hist[n]).all()
+        assert small.total_count() == default.total_count() == necklace.pi_exact(A, N)
 
     def test_thread_count_invariance(self):
         one = bulk.run(3, 8, threads=1)
@@ -68,19 +100,21 @@ class TestBulk:
             assert (one.lg_sums[n] == two.lg_sums[n]).all()
 
     def test_dual_length_sampling(self):
-        acc = bulk.run_shard(5, 6, (), check_rate=16)
+        acc = bulk.run(5, 6, check_rate=16)
         assert acc.check_count >= acc.total_count() // 16
         assert acc.check_max_rel < 1e-9
 
     def test_infeasible_configuration(self):
         with pytest.raises(ValueError):
-            bulk.run_shard(100, 12, ())
+            bulk.run(100, 12)
+        with pytest.raises(ValueError):
+            bulk.shard_ranges(100, 12)
 
     def test_sparse_block_table(self, monkeypatch):
         # Blocks whose cell span passes _CHUNK are sorted, not counted densely.
-        dense = bulk.run_shard(4, 8, ())
+        dense = bulk.run(4, 8)
         monkeypatch.setattr(bulk, "_CHUNK", 64)
-        assert bulk.run_shard(4, 8, ()).table == dense.table
+        assert bulk.run(4, 8).table == dense.table
 
     def test_pool_size_bounded(self, monkeypatch):
         sizes = []
@@ -99,14 +133,15 @@ class TestBulk:
                 return map(fn, jobs)
 
         monkeypatch.setattr(bulk, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(bulk, "_CHUNK", 2)
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: set(range(8)))
-        bulk.run(2, 4, threads=100_000)  # 4 first-pair shards
-        bulk.run(3, 4, threads=100_000)  # 9 shards, 8 usable CPUs
+        bulk.run(2, 4, threads=100_000)  # 4 + 10 candidates: 7 shards
+        bulk.run(3, 4, threads=100_000)  # 28 shards, 8 usable CPUs
         bulk.run(3, 4, threads=3)
-        assert sizes == [4, 8, 3]
+        assert sizes == [7, 8, 3]
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: {0})
         bulk.run(3, 4, threads=100_000)
-        assert sizes == [4, 8, 3]
+        assert sizes == [7, 8, 3]
 
 
 class TestSample:
@@ -333,6 +368,27 @@ class TestCliExitCodes:
         assert out == ""
         assert "cap" in err
 
+    def test_count_overflow_stops_early(self, capsys):
+        # The float asymptotic overflows before pi_exact sums 40,000 terms.
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "count", "--A", "3", "--N", "80000")
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert out == ""
+        assert "float range" in err
+
+    def test_exact_count_mismatch_is_verify_failure(self, tmp_path):
+        # Under -O too, a wrong count is reported, not asserted.
+        code = ("import sys\n"
+                "from modwind import cli, necklace\n"
+                "necklace.pi_exact = lambda A, N: 7\n"
+                "sys.exit(cli.main(['count', '--A', '3', '--N', '4', '--exact']))\n")
+        proc = run_python("-O", "-c", code, cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "!= pi_exact 7" in proc.stderr
+
     def test_malformed_thread_environment(self, tmp_path):
         for value in ("abc", "0"):
             proc = run_python("-m", "modwind.cli", "count", "--A", "3", "--N", "4",
@@ -379,10 +435,8 @@ class TestLargeAlphabet:
         code, _, err = run_cli(capsys, "dist", "--A", "300", "--N", "2",
                                "--norm", "period", "--out-dir", str(tmp_path))
         assert code == 0
-        # 90,000 shards, one progress line per whole percent
-        lines = err.splitlines()
-        assert len(lines) <= 101
-        assert lines[-1] == "shard 90000/90000"
+        # 90,000 candidates make one shard
+        assert err.splitlines() == ["shard 1/1"]
         cells = Counter((a - b, 2 * (a + b))
                         for a in range(1, 301) for b in range(1, 301))
         expected = "n,psi,lw,count\n" + "".join(
@@ -429,6 +483,17 @@ class TestCliVerify:
         code, out, _ = run_cli(capsys, "verify", "--A", "2", "--N", "6")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    def test_detects_dropped_key(self, capsys, monkeypatch):
+        # negative control: enumeration losing the necklaces of key 1,
+        # digits (1, 2) and (1, 1, 1, 2), must be caught
+        real = bulk._lyndon_keys
+        monkeypatch.setattr(bulk, "_lyndon_keys",
+                            lambda *args: (keys[keys != 1] for keys in real(*args)))
+        code, out, err = run_cli(capsys, "verify", "--A", "2", "--N", "6")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        assert "shard_independence: FAIL" in err
 
 
 def _reject_constant(name):
