@@ -12,7 +12,9 @@ smaller than every proper rotation.
 
 A shard is a range (n, lo, hi) of at most _CHUNK candidates of period
 length n.  `run` merges its shards in increasing order, so the result
-does not depend on the thread count.
+does not depend on the thread count.  `count` walks the same shards but
+runs only the Lyndon stage: a count needs the keys, not their digits,
+lengths or table cells.
 
 `sample` draws necklaces uniformly without canonicalizing them: all
 invariants are constant on an even-shift class, and each necklace of
@@ -212,6 +214,24 @@ def _worker(args):
     return run_shard(*args)
 
 
+def _count_worker(args):
+    """Necklaces among one shard's candidates: its Lyndon keys alone."""
+    return sum(keys.size for keys in _lyndon_keys(*args))
+
+
+def _map_in_order(worker, jobs, threads):
+    """Yield worker(job) for each job in order, on at most `threads`
+    processes; with one, the jobs run here, without a pool."""
+    # The pool forks all its workers at once, so never more than can run.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(jobs), cpus or 1)
+    if workers <= 1:
+        yield from map(worker, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(worker, jobs)
+
+
 def _merge_in_order(shards, total, progress):
     """Merge an ordered stream of shards as a balanced tree, left to right.
 
@@ -242,13 +262,19 @@ def run(A, N, hist=None, threads=1, check_rate=0, progress=None):
     the thread count.
     """
     jobs = [(A, N, *r, hist, check_rate) for r in shard_ranges(A, N)]
-    # The pool forks all its workers at once, so never more than can run.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(jobs), cpus or 1)
-    if workers <= 1:
-        return _merge_in_order(map(_worker, jobs), len(jobs), progress)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _merge_in_order(pool.map(_worker, jobs), len(jobs), progress)
+    return _merge_in_order(_map_in_order(_worker, jobs, threads), len(jobs), progress)
+
+
+def count(A, N, threads=1, progress=None):
+    """Number of necklaces of period length <= N, counted by enumerating
+    the Lyndon keys of the shards of `run`, with the same progress calls."""
+    jobs = [(A, *r) for r in shard_ranges(A, N)]
+    total = 0
+    for i, found in enumerate(_map_in_order(_count_worker, jobs, threads), 1):
+        total += found
+        if progress:
+            progress(i, len(jobs))
+    return total
 
 
 def _aperiodic(block):

@@ -167,9 +167,9 @@ def cmd_count(args):
         return EXIT_RESOURCE
     report = necklace.pi_asymptotic(args.A, args.N)
     if args.exact:
-        acc = bulk.run(args.A, args.N, threads=args.threads, progress=_progress)
-        if acc.total_count() != report.exact:
-            print(f"enumerated {acc.total_count()} != pi_exact {report.exact}", file=sys.stderr)
+        total = bulk.count(args.A, args.N, threads=args.threads, progress=_progress)
+        if total != report.exact:
+            print(f"enumerated {total} != pi_exact {report.exact}", file=sys.stderr)
             return EXIT_VERIFY
     _emit({
         "A": args.A,

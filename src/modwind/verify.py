@@ -99,7 +99,8 @@ def check_dual_lengths(A, n_max, tol=1e-9):
 
 
 def check_shard_independence(A, N):
-    """The default shard ranges against the same ranges cut in three."""
+    """The default shard ranges against the same ranges cut in three, and
+    their merged total against pi_exact and the Lyndon key count."""
     failures = []
     ranges = bulk.shard_ranges(A, N)
     thirds = [(n, lo + (hi - lo) * k // 3, lo + (hi - lo) * (k + 1) // 3)
@@ -110,6 +111,8 @@ def check_shard_independence(A, N):
         failures.append("union of the cut shards differs from the default shards")
     if whole.total_count() != necklace.pi_exact(A, N):
         failures.append("shard total != pi_exact")
+    if bulk.count(A, N) != whole.total_count():
+        failures.append("Lyndon key count != merged shard total")
     return failures
 
 

@@ -62,6 +62,12 @@ def test_01_exact_count(full_run, capsys):
         acc, elapsed = full_run
         assert acc.total_count() == 42_743_545
         assert elapsed < 600.0
+        # The paper-scale count itself, by enumerating its Lyndon keys.
+        code = cli.main(["count", "--A", "5", "--N", "12", "--exact", "--threads", "2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["exact"] == 42_743_545
+        assert payload["method"] == "enumeration"
 
 
 def test_02_asymptotic_accuracy():

@@ -144,6 +144,65 @@ class TestBulk:
         assert sizes == [7, 8, 3]
 
 
+class TestCount:
+    @pytest.mark.parametrize("A, N", [(2, 8), (3, 8), (4, 10), (30, 4), (300, 2)])
+    def test_matches_run_and_pi_exact(self, A, N):
+        expected = necklace.pi_exact(A, N)
+        assert bulk.count(A, N) == bulk.run(A, N).total_count() == expected
+        assert bulk.count(A, N, threads=2) == expected
+
+    @pytest.mark.parametrize("A, N", [(2, 8), (3, 8), (4, 6)])
+    def test_small_shards_and_blocks(self, A, N, monkeypatch):
+        monkeypatch.setattr(bulk, "_CHUNK", 11)
+        monkeypatch.setattr(bulk, "_BLOCK", 3)
+        expected = necklace.pi_exact(A, N)
+        counted, merged = [], []
+        assert bulk.count(A, N, progress=lambda *p: counted.append(p)) == expected
+        assert bulk.run(A, N, progress=lambda *p: merged.append(p)).total_count() == expected
+        # One progress call per shard, as run makes.
+        assert counted == merged
+        assert len(counted) == len(bulk.shard_ranges(A, N)) > 1
+        assert bulk.count(A, N, threads=2) == bulk.run(A, N, threads=2).total_count() == expected
+
+    def test_builds_no_records(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("count must stop at the Lyndon keys")
+
+        for name in ("run_shard", "_digits", "_geodesic_lengths", "_accumulate_block"):
+            monkeypatch.setattr(bulk, name, forbidden)
+        monkeypatch.setattr(bulk, "_CHUNK", 50)
+        assert bulk.count(3, 8) == necklace.pi_exact(3, 8)
+        with pytest.raises(AssertionError):
+            bulk.run(3, 8)
+
+    def test_pool_size_bounded(self, monkeypatch):
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bulk, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(bulk, "_CHUNK", 2)
+        monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert bulk.count(2, 4, threads=100_000) == necklace.pi_exact(2, 4)  # 7 shards
+        assert bulk.count(3, 4, threads=100_000) == necklace.pi_exact(3, 4)  # 28 shards
+        bulk.count(3, 4, threads=3)
+        assert sizes == [7, 8, 3]
+        monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: {0})
+        assert bulk.count(3, 4, threads=100_000) == necklace.pi_exact(3, 4)
+        assert sizes == [7, 8, 3]
+
+
 class TestSample:
     def test_cells_match_exhaustive_table(self):
         draws = 60_000
@@ -389,6 +448,24 @@ class TestCliExitCodes:
         assert "Traceback" not in proc.stderr
         assert "!= pi_exact 7" in proc.stderr
 
+    def test_dropped_key_is_verify_failure(self, tmp_path):
+        # negative control: enumeration losing the necklace of key 1,
+        # digits (1, 2), must fail the check against pi_exact
+        code = ("import sys\n"
+                "from modwind import bulk, cli\n"
+                "real = bulk._lyndon_keys\n"
+                "bulk._lyndon_keys = lambda A, n, lo, hi: (\n"
+                "    keys[keys != 1] if n == 2 else keys for keys in real(A, n, lo, hi))\n"
+                "sys.exit(cli.main(['count', '--A', '3', '--N', '4', '--exact']))\n")
+        proc = run_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        expected = necklace.pi_exact(3, 4)
+        # Progress lines aside, stderr is the one mismatch line.
+        lines = [line for line in proc.stderr.splitlines() if not line.startswith("shard ")]
+        assert lines == [f"enumerated {expected - 1} != pi_exact {expected}"]
+
     def test_malformed_thread_environment(self, tmp_path):
         for value in ("abc", "0"):
             proc = run_python("-m", "modwind.cli", "count", "--A", "3", "--N", "4",
@@ -494,6 +571,18 @@ class TestCliVerify:
         assert code == 1
         assert json.loads(out)["passed"] is False
         assert "shard_independence: FAIL" in err
+
+    def test_detects_count_mismatch(self, capsys, monkeypatch):
+        # negative control: a Lyndon key count that disagrees with the
+        # merged shards must be caught, by its own message
+        real = bulk.count
+        monkeypatch.setattr(bulk, "count", lambda A, N: real(A, N) + 1)
+        code, out, err = run_cli(capsys, "verify", "--A", "2", "--N", "6")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        assert "shard_independence: FAIL" in err
+        assert "Lyndon key count != merged shard total" in err
+        assert "shard total != pi_exact" not in err
 
 
 def _reject_constant(name):
