@@ -4,11 +4,16 @@ An even-shift necklace of period length n is a necklace of m = n/2 digit
 pairs, and its canonical primitive representative is the Lyndon word
 over the Q = A^2 pairs, ordered (a, b) < (a', b') lexicographically: the
 pair-word strictly smaller than each of its proper rotations.  A word is
-held as its base-A integer key (digit d counts as d - 1), so a rotation
-by s pairs is one divmod by A^(n - 2s).  The candidates are the words
-whose later pairs are all >= the first pair c, numbered by c and then by
-the base-(Q - c) index of their later pairs; one strict mask keeps those
-smaller than every proper rotation.
+held as its base-A integer key (digit d counts as d - 1).  The
+candidates are the words whose later pairs are all >= the first pair c,
+numbered by c and then by the base-(Q - c) index of their later pairs;
+one strict mask keeps those smaller than every proper rotation.  Under
+first pair c the candidates fall into boxes of (Q - c)^t consecutive
+indices, in each of which the last t pairs run over all of [c, Q)^t.
+The key, and its difference from each rotation, are linear in the
+pairs, so each is one scalar per box plus one table over the box built
+once per c: a block of candidates costs broadcast adds and comparisons,
+and only box indices are ever divided.
 
 A shard is a range (n, lo, hi) of at most _CHUNK candidates of period
 length n.  `run` merges its shards in increasing order, so the result
@@ -38,7 +43,6 @@ import math
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -71,24 +75,67 @@ def _candidate_ends(A, n):
 
 def _lyndon_keys(A, n, lo, hi):
     """Keys of the Lyndon pair-words among candidates lo..hi-1 of period
-    length n, one array per block."""
+    length n, one array per block of _BLOCK candidates from lo.
+
+    Every value formed is a partial sum of p_i Q^e_i - p_i Q^f_i over
+    distinct e_i and distinct f_i, so it lies in (-A^n, A^n), inside
+    int64 under _check_feasible's bound.
+    """
     m = n // 2
     Q = A * A
-    ends = _candidate_ends(A, n)
+    if m == 1:
+        # A lone pair is its own key and its only rotation.
+        for start in range(lo, hi, _BLOCK):
+            yield np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
+        return
+    ends = _candidate_ends(A, n).tolist()
+    # Column 0 holds pair i's weight in the key, column s its weight in
+    # key - rot_s, where rot_s is the rotation by s pairs.
+    weight = Q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    coef = np.stack([weight] + [weight - np.roll(weight, s) for s in range(1, m)], axis=1)
+    c = None
     for start in range(lo, hi, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
-        c = np.searchsorted(ends, idx, side="right")
-        # First pair c owns the (Q - c)^(m - 1) candidates ending at ends[c].
-        rest = idx - ends[c] + (Q - c) ** (m - 1)
-        key = c * Q ** (m - 1)
-        for j in range(m - 1, 0, -1):
-            rest, pair = np.divmod(rest, Q - c)
-            key += (pair + c) * Q ** (m - 1 - j)
-        keep = np.ones(idx.size, dtype=bool)
-        for s in range(1, m):
-            head, tail = np.divmod(key, Q ** (m - s))
-            keep &= key < tail * Q**s + head
-        yield key[keep]
+        stop = min(start + _BLOCK, hi)
+        parts = []
+        pos = start
+        while pos < stop:
+            if c is None or pos >= ends[c]:
+                c = bisect.bisect_right(ends, pos)
+                b = Q - c
+                # The widest box that fits in a block, but at least one
+                # pair wide, so that no candidate index is divided.
+                t = 1
+                while t < m - 1 and b ** (t + 1) <= _BLOCK:
+                    t += 1
+                box = b**t
+                first = ends[c] - b ** (m - 1)
+                # Row s of trail: form s's trailing part at each index of a box.
+                pairs = np.arange(c, Q, dtype=np.int64)
+                trail = np.zeros((m, 1), dtype=np.int64)
+                for i in range(m - t, m):
+                    trail = (trail[:, :, None] + coef[i, :, None, None] * pairs).reshape(m, -1)
+            end = min(stop, ends[c])
+            k0, a = divmod(pos - first, box)
+            k1, z = divmod(end - 1 - first, box)
+            # Row per box, column 0: the key's leading part; column s:
+            # minus that of key - rot_s, so keep where trail[s] < lead[:, s].
+            lead = c * coef[0] + np.zeros((k1 + 1 - k0, 1), dtype=np.int64)
+            rest = np.arange(k0, k1 + 1, dtype=np.int64)
+            for i in range(m - 1 - t, 0, -1):
+                rest, pair = np.divmod(rest, b)
+                lead += (pair[:, None] + c) * coef[i]
+            lead[:, 1:] *= -1
+            # Whole rows of boxes k0..k1, cropped to pos..end-1 after the
+            # mask; a block within one box takes only its own columns.
+            u, v = (a, z + 1) if k0 == k1 else (0, box)
+            key = (lead[:, :1] + trail[0, u:v]).ravel()
+            keep = trail[1, u:v] < lead[:, 1:2]
+            for s in range(2, m):
+                keep &= trail[s, u:v] < lead[:, s:s + 1]
+            span = slice(a - u, a - u + end - pos)
+            parts.append(key[span][keep.ravel()[span]])
+            pos = end
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _digits(A, n, keys):
@@ -228,6 +275,8 @@ def _map_in_order(worker, jobs, threads):
     if workers <= 1:
         yield from map(worker, jobs)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(worker, jobs)
 

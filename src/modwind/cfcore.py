@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 
 def as_word(digits, bound=None):
     """Validate and normalize a digit sequence into a word tuple."""
@@ -162,6 +160,8 @@ class QuadraticSurd:
 
     def to_mpf(self, precision=128):
         """Numerical value at the requested binary precision."""
+        from mpmath import mp
+
         with mp.workprec(precision + 16):
             val = (self.p + self.r * mp.sqrt(self.D)) / self.q
             return +val
@@ -254,5 +254,7 @@ def eigenvalue_max(m, precision=128):
     tr = m.trace
     if tr <= 2:
         raise ValueError(f"trace {tr} <= 2: no expanding eigenvalue")
+    from mpmath import mp
+
     with mp.workprec(precision + 16):
         return +((tr + mp.sqrt(tr * tr - 4)) / 2)

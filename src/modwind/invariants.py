@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from .cfcore import (
     MatrixZ,
@@ -69,6 +68,8 @@ def geodesic_length_logsum(word, precision=128):
     n = len(word)
     if n % 2 != 0:
         raise ValueError("geodesic length needs an even-length word")
+    from mpmath import mp
+
     with mp.workprec(precision + 16):
         total = mp.mpf(0)
         sqrt_disc = None
@@ -85,6 +86,8 @@ def geodesic_length_eigen(word, precision=128):
     word = as_word(word)
     if len(word) % 2 != 0:
         raise ValueError("geodesic length needs an even-length word")
+    from mpmath import mp
+
     with mp.workprec(precision + 16):
         return float(2 * mp.log(eigenvalue_max(matrix_of_word(word), precision)))
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import functools
 import io
@@ -132,7 +133,7 @@ class TestBulk:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(bulk, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(bulk, "_CHUNK", 2)
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: set(range(8)))
         bulk.run(2, 4, threads=100_000)  # 4 + 10 candidates: 7 shards
@@ -142,6 +143,72 @@ class TestBulk:
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: {0})
         bulk.run(3, 4, threads=100_000)
         assert sizes == [7, 8, 3]
+
+
+def _lyndon_keys_by_division(A, n, lo, hi):
+    """The division kernel _lyndon_keys replaced: each candidate is
+    unpacked from its index, and each rotation taken, by int64 divmods."""
+    m = n // 2
+    Q = A * A
+    ends = bulk._candidate_ends(A, n)
+    for start in range(lo, hi, bulk._BLOCK):
+        idx = np.arange(start, min(start + bulk._BLOCK, hi), dtype=np.int64)
+        c = np.searchsorted(ends, idx, side="right")
+        # First pair c owns the (Q - c)^(m - 1) candidates ending at ends[c].
+        rest = idx - ends[c] + (Q - c) ** (m - 1)
+        key = c * Q ** (m - 1)
+        for j in range(m - 1, 0, -1):
+            rest, pair = np.divmod(rest, Q - c)
+            key += (pair + c) * Q ** (m - 1 - j)
+        keep = np.ones(idx.size, dtype=bool)
+        for s in range(1, m):
+            head, tail = np.divmod(key, Q ** (m - s))
+            keep &= key < tail * Q**s + head
+        yield key[keep]
+
+
+def assert_same_blocks(A, n, lo, hi):
+    fast = list(bulk._lyndon_keys(A, n, lo, hi))
+    slow = list(_lyndon_keys_by_division(A, n, lo, hi))
+    assert len(fast) == len(slow)
+    for got, want in zip(fast, slow):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestLyndonKeys:
+    @pytest.mark.parametrize("A, N", [(2, 14), (3, 10), (4, 10), (5, 8), (9, 6)])
+    def test_every_shard(self, A, N):
+        for r in bulk.shard_ranges(A, N):
+            assert_same_blocks(A, *r)
+
+    @pytest.mark.parametrize("block", [3, 7])
+    def test_blocks_straddle_boxes(self, block, monkeypatch):
+        monkeypatch.setattr(bulk, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for A, N in ((2, 12), (3, 8), (4, 6), (5, 6)):
+            for n in range(2, N + 1, 2):
+                total = int(bulk._candidate_ends(A, n)[-1])
+                for _ in range(10):
+                    lo, hi = sorted(rng.integers(0, total + 1, size=2).tolist())
+                    assert_same_blocks(A, n, lo, hi)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_boxes_wider_than_a_block(self, n):
+        # At n = 4, Q - c > _BLOCK for most c, so each box is one pair
+        # wide; n = 2 has no later pairs at all.
+        total = int(bulk._candidate_ends(300, n)[-1])
+        for lo in sorted({0, 123_456 % total, max(0, total - 100_000)}):
+            assert_same_blocks(300, n, lo, min(total, lo + 100_000))
+
+    @pytest.mark.parametrize("A, n", [(2, 38), (9, 18)])
+    def test_top_of_largest_feasible_n(self, A, n):
+        # The keys and rotation differences nearest A^n < 2^62.
+        bulk._check_feasible(A, n)
+        with pytest.raises(ValueError):
+            bulk._check_feasible(A, n + 2)
+        total = int(bulk._candidate_ends(A, n)[-1])
+        assert_same_blocks(A, n, total - 10_000, total)
 
 
 class TestCount:
@@ -191,7 +258,7 @@ class TestCount:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(bulk, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(bulk, "_CHUNK", 2)
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: set(range(8)))
         assert bulk.count(2, 4, threads=100_000) == necklace.pi_exact(2, 4)  # 7 shards
@@ -502,8 +569,15 @@ class TestCliExitCodes:
         assert not sampled
 
     def test_import_skips_sympy(self):
-        proc = run_python("-c", "import sys, modwind.cli; "
-                                "assert 'sympy' not in sys.modules, 'sympy imported'")
+        # mpmath and the process pool load only when a call needs them.
+        code = ("import sys\n"
+                "from modwind import cli\n"
+                "for name in ('sympy', 'mpmath', 'concurrent.futures.process'):\n"
+                "    assert name not in sys.modules, name + ' imported'\n"
+                "code = cli.main(['verify', '--A', '2', '--N', '4'])\n"
+                "assert 'mpmath' in sys.modules\n"
+                "sys.exit(code)\n")
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
 
 
