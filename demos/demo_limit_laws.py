@@ -8,7 +8,7 @@ Writes an SVG of the period-normalized histogram next to this script.
 
 import os
 
-from modwind import bulk, invariants, stats, svgplot
+from modwind import bulk, cli, stats, svgplot
 
 A = 3
 N = 10
@@ -20,12 +20,8 @@ def main():
     print(f"{acc.total_count():,} necklaces")
     print()
 
-    sigma2 = {
-        stats.PERIOD: float(invariants.sigma_p2(A)),
-        stats.MAXN: float(invariants.sigma_p2(A)),
-        stats.WORD: float(invariants.sigma_w2(A)),
-        stats.GEOM: invariants.chat_estimate(A, 1e-3).sigma_g2,
-    }
+    # The same targets as `modwind dist` at its default --tol.
+    sigma2 = {norm: cli.NORM_SIGMA[norm](A, 1e-3) for norm in stats.NORMALIZATIONS}
 
     print("KS distance to N(0, sigma^2) by cutoff:")
     header = "  norm   " + "".join(f"  N={n:<6d}" for n in range(4, N + 1, 2))

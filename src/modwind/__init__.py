@@ -18,12 +18,14 @@ from .invariants import (
     GeodesicRecord,
     build_record,
     chat_estimate,
+    chat_two_tail,
     ck_constant,
     fibonacci,
     geodesic_length_eigen,
     geodesic_length_logsum,
     sigma_p2,
     sigma_w2,
+    two_tail_bounds,
     winding,
     word_length,
 )

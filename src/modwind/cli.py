@@ -33,7 +33,7 @@ NORM_SIGMA = {
     stats.PERIOD: lambda A, tol: float(invariants.sigma_p2(A)),
     stats.MAXN: lambda A, tol: float(invariants.sigma_p2(A)),
     stats.WORD: lambda A, tol: float(invariants.sigma_w2(A)),
-    stats.GEOM: lambda A, tol: invariants.chat_estimate(A, tol).sigma_g2,
+    stats.GEOM: lambda A, tol: invariants.chat_two_tail(A, tol).sigma_g2,
 }
 
 
@@ -134,7 +134,8 @@ def build_parser():
     p.add_argument("--bins", type=_int_at_least(2), default=8192)
     threads(p)
     p.add_argument("--tol", type=_tolerance, default=1e-3,
-                   help="ergodic-constant tolerance for the geom normalization")
+                   help="geom normalization: largest width of the rigorous two-tail "
+                        "interval for c-hat whose midpoint gives sigma^2")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--svg", action="store_true", help="also emit dist.svg")
     p.add_argument("--sample", type=_int_at_least(1), metavar="COUNT",
@@ -143,7 +144,8 @@ def build_parser():
 
     p = sub.add_parser("constants", help="variance constants and ergodic estimate")
     common(p, with_n=False)
-    p.add_argument("--tol", type=_tolerance, default=1e-3)
+    p.add_argument("--tol", type=_tolerance, default=1e-3,
+                   help="largest Fibonacci bound 2/F_k^2 on |c-hat - c_k|")
 
     p = sub.add_parser("charfn", help="empirical characteristic function")
     common(p)

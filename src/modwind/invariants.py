@@ -152,13 +152,16 @@ DEFAULT_WORD_BUDGET = 50_000_000
 _TABLE = 1 << 20
 
 
-def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET):
+def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
     """Truncated ergodic average (2 / A^k) * sum over [A]^k of log(value).
 
     The value of a word a_1 ... a_k is its finite continued fraction
-    [a_1; a_2, ..., a_k].  Words share their work: a float table holds the
-    values x of all suffixes of the last m digits, built level by level as
-    x -> a + 1/x, with m the largest depth whose A^m entries fit in 2^20.
+    [a_1; a_2, ..., a_k], or [a_1; a_2, ..., a_k, tail] when a tail value
+    is given (two_tail_bounds evaluates it at both ends of the tail's
+    range).  Words share their work: a float table holds the values x of
+    all suffixes of the last m digits, built level by level as
+    x -> a + 1/x from x = a_k (or a_k + 1/tail), with m the largest depth
+    whose A^m entries fit in 2^20.
     The exact int64 continuants (h, h', q, q') of each of the A^(k-m)
     prefixes give the word's value (h x + h') / (q x + q'), and each block
     of prefixes adds the pairwise sum of its logs over the table; the
@@ -188,6 +191,8 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET):
     partials = []
     for lo in range(1, A + 1, _TABLE):
         x = np.arange(lo, min(lo + _TABLE, A + 1), dtype=np.float64)
+        if tail is not None:
+            x += 1.0 / tail
         for _ in range(m - 1):
             x = (digits[:, None] + 1.0 / x).ravel()
         rows = max(1, _TABLE // x.size)
@@ -201,7 +206,13 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET):
 
 @dataclass(frozen=True)
 class ChatEstimate:
-    """Truncated estimate c_k of the ergodic constant, with its bound."""
+    """Estimate of the ergodic constant c-hat at truncation depth k.
+
+    c-hat lies in chat_interval = c_k +- error_bound.  From chat_estimate,
+    c_k is the truncated average and error_bound the Fibonacci bound
+    2/F_k^2; from chat_two_tail, c_k is the midpoint of the two-tail
+    interval and error_bound its half-width.
+    """
 
     A: int
     k: int
@@ -224,7 +235,7 @@ class ChatEstimate:
 
     @property
     def sigma_g2_interval(self):
-        """Interval for sigma_p^2 / c-hat implied by the Fibonacci bound.
+        """Interval for sigma_p^2 / c-hat implied by chat_interval.
 
         It is sigma_p^2 divided by each end of chat_interval, so it bounds
         the limiting constant, not the finite-N variance of psi / sqrt(l_g),
@@ -260,3 +271,61 @@ def chat_estimate(A, tol, budget=DEFAULT_WORD_BUDGET):
     return ChatEstimate(
         A=A, k=k, c_k=ck_constant(A, k, budget), error_bound=2.0 / fibonacci(k) ** 2
     )
+
+
+# Float rounding of ck_constant, relative to 1 + c (u = 2^-53).  The table
+# entries x -> a + 1/x stay within 4u of exact: an error e in x becomes
+# (e + u)/(x_prev x) + u <= (e + u)/2 + u, and the first entry a + 1/tail
+# starts within 4u.  Under the word budget the int64 continuants stay below
+# 2^53, so they are exact in float64, and a word's value
+# (h x + h')/(q x + q') is within 14u and its np.log (within 4 ulp) within
+# 14u + 8u log(value).  Each block sums at most 2^20 logs, all >= 0, which
+# in any order errs by at most 2^20 u times their sum; fsum and the final
+# 2/A^k add 3u.  The mean is thus within about 2^-33 (1 + c) of its exact
+# value; the pad is twice that, which also covers rounding lo - pad and
+# hi + pad to the nearest float.
+_ROUNDING = 2.0**-32
+
+
+def two_tail_bounds(A, k, budget=DEFAULT_WORD_BUDGET):
+    """Rigorous (lo, hi) around c-hat from the A^k prefixes of depth k.
+
+    With i.i.d. uniform digits, c-hat = 2 E[log [a_1; ..., a_k, w]], where
+    the tail w = [a_(k+1); ...] is independent of the prefix and lies in
+    [1 + 1/(A+1), A+1].  Every prefix matrix M(a_1) ... M(a_k) has
+    determinant (-1)^k, so w -> [a_1; ..., a_k, w] is monotone in the same
+    direction for every prefix, and ck_constant's average at the two ends
+    of the tail's range bounds c-hat below and above.  The float rounding
+    of both averages is padded outward (see _ROUNDING).
+    """
+    lo, hi = sorted(ck_constant(A, k, budget, tail) for tail in (1.0 + 1.0 / (A + 1), A + 1.0))
+    pad = _ROUNDING * (1.0 + hi)
+    return lo - pad, hi + pad
+
+
+def chat_two_tail(A, tol, budget=DEFAULT_WORD_BUDGET):
+    """Smallest-depth two-tail interval for c-hat whose width is <= tol.
+
+    Depth k costs 2 A^k words (k = 5 at A = 5 and tol 1e-3, where the
+    Fibonacci rule of chat_estimate needs 5^10).  Raises BudgetError when
+    the next depth would pass budget words.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if tol < 2 * _ROUNDING:
+        # Every padded interval is at least 2 _ROUNDING wide.
+        raise BudgetError(f"tolerance {tol} is below the rounding floor {2 * _ROUNDING}")
+    k = 1
+    lo, hi = two_tail_bounds(A, k, budget)
+    while hi - lo > tol:
+        k += 1
+        if A**k > budget:
+            raise BudgetError(
+                f"depth {k} needs A^k = {A**k} words (budget {budget}); "
+                f"the interval for c-hat at depth {k - 1} is {hi - lo} wide"
+            )
+        lo, hi = two_tail_bounds(A, k, budget)
+    mid = 0.5 * (lo + hi)
+    # c_k +- error_bound, rounded to nearest, still contains [lo, hi].
+    half = math.nextafter(max(mid - lo, hi - mid), math.inf)
+    return ChatEstimate(A=A, k=k, c_k=mid, error_bound=half)

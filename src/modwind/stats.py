@@ -159,34 +159,41 @@ def _geom_counts(acc):
     return counts
 
 
-def empirical_cdf(acc, normalization):
-    """Right-continuous empirical CDF as a list of (x, F(x)) points."""
+def _cdf_arrays(acc, normalization):
+    """Jump points x and right-continuous values F(x) as float64 arrays."""
     total = acc.total_count()
     if total == 0:
         raise ValueError("empty accumulator")
     if normalization == GEOM:
         counts = _geom_counts(acc)
-        points = [(acc.hist.lo, counts[0] / total)]
-        running = int(counts[0])
-        for i in range(acc.hist.bins):
-            running += int(counts[i + 1])
-            x = acc.hist.lo + (i + 1) * acc.hist.width
-            points.append((x, running / total))
-        return points
-    values = _table_values(acc, normalization)
-    points = []
-    running = 0
-    for x in sorted(values):
-        running += values[x]
-        points.append((x, running / total))
-    return points
+        # x = lo, then the right edge of each bin; the overflow cell adds none.
+        xs = acc.hist.lo + np.arange(acc.hist.bins + 1) * acc.hist.width
+        running = np.cumsum(counts[:-1])
+    else:
+        values = _table_values(acc, normalization)
+        keys = sorted(values)
+        xs = np.array(keys, dtype=np.float64)
+        running = np.cumsum([values[x] for x in keys], dtype=np.int64)
+    return xs, running / total
+
+
+def empirical_cdf(acc, normalization):
+    """Right-continuous empirical CDF as a list of (x, F(x)) points."""
+    xs, fs = _cdf_arrays(acc, normalization)
+    return list(zip(xs.tolist(), fs.tolist()))
 
 
 def gaussian_cdf(x, sigma2):
     """CDF of a centered Gaussian with the given variance."""
+    return _gaussian_cdfs([x], sigma2)[0]
+
+
+def _gaussian_cdfs(xs, sigma2):
+    """gaussian_cdf at each of xs: one math.erf per point."""
     if sigma2 <= 0:
         raise ValueError("variance must be positive")
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0 * sigma2)))
+    scale = math.sqrt(2.0 * sigma2)
+    return [0.5 * (1.0 + math.erf(x / scale)) for x in xs]
 
 
 @dataclass
@@ -199,6 +206,7 @@ class DistributionReport:
     variance: float
     count: int
     cdf_points: list = field(repr=False, default_factory=list)
+    cdf_targets: list = field(repr=False, default_factory=list)
 
 
 def _moments(acc, normalization):
@@ -219,17 +227,14 @@ def ks_distance(acc, normalization, sigma2):
     exact; for the binned geometric normalization the report carries the
     discretization bound (largest single-bin mass plus tail mass).
     """
+    xs, fs = _cdf_arrays(acc, normalization)
     total = acc.total_count()
-    if total == 0:
-        raise ValueError("empty accumulator")
-    points = empirical_cdf(acc, normalization)
-    ks = 0.0
-    prev = 0.0
-    for x, f in points:
-        target = gaussian_cdf(x, sigma2)
-        ks = max(ks, abs(f - target), abs(prev - target))
-        prev = f
-    ks = max(ks, 1.0 - prev)
+    x_list = xs.tolist()
+    points = list(zip(x_list, fs.tolist()))
+    targets = _gaussian_cdfs(x_list, sigma2)
+    t = np.array(targets)
+    before = np.concatenate(([0.0], fs[:-1]))
+    ks = max(float(np.abs(fs - t).max()), float(np.abs(before - t).max()), 1.0 - float(fs[-1]))
     bound = 0.0
     if normalization == GEOM:
         counts = _geom_counts(acc)
@@ -245,6 +250,7 @@ def ks_distance(acc, normalization, sigma2):
         variance=var,
         count=total,
         cdf_points=points,
+        cdf_targets=targets,
     )
 
 
@@ -315,9 +321,8 @@ def write_table_csv(acc, path):
 def write_cdf_csv(report, path):
     with open(path, "w") as fh:
         fh.write("x,F_emp,F_gauss\n")
-        for x, f in report.cdf_points:
-            g = gaussian_cdf(x, report.sigma2_target)
-            fh.write(f"{x:.17g},{f:.17g},{g:.17g}\n")
+        fh.writelines(f"{x:.17g},{f:.17g},{g:.17g}\n"
+                      for (x, f), g in zip(report.cdf_points, report.cdf_targets))
 
 
 def report_json(report, A, N):

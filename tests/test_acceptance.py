@@ -183,6 +183,25 @@ def test_05_constants(chat5):
         assert abs(chat5.sigma_g2 - reference) <= hi - lo
 
 
+@pytest.mark.parametrize("A", [2, 5, 6, 10, 30])
+def test_two_tail_interval_contains_transfer_operator_chat(A):
+    lo, hi = invariants.chat_two_tail(A, 1e-3).chat_interval
+    assert lo <= _chat_transfer_operator(A) <= hi
+
+
+def test_two_tail_interval_contains_references(restrictions):
+    # dist --norm geom takes sigma_g2 from the two-tail interval; it is
+    # narrower than chat5's and still holds test_05's reference and
+    # test_10's N=12 mean of lg/lp.
+    est = invariants.chat_two_tail(5, 1e-3)
+    lo, hi = est.sigma_g2_interval
+    assert lo <= 2.0 / _chat_transfer_operator(5) <= hi
+    assert lo <= 0.9023205 <= hi
+    mean_g = stats.ratio_report(restrictions[12])[0]
+    lo, hi = est.chat_interval
+    assert lo < mean_g < hi
+
+
 def test_06_dual_geodesic_length(full_run):
     with criterion(6, "dual geometric-length routes"):
         for n in range(2, 9, 2):

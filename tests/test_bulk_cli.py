@@ -412,6 +412,20 @@ class TestCliDist:
         assert code == 0
         assert json.loads(out)["count"] == 200
 
+    def test_geom_at_A6_within_tolerance(self, tmp_path, capsys):
+        # The two-tail interval reaches tol 1e-3 at depth 5 (6^5 words),
+        # where the Fibonacci rule would need 6^10, over the word budget.
+        from test_acceptance import _chat_transfer_operator
+
+        code, out, _ = run_cli(
+            capsys, "dist", "--A", "6", "--N", "12", "--norm", "geom",
+            "--sample", "200", "--seed", "1", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        chat, tol = _chat_transfer_operator(6), 1e-3
+        s = float(invariants.sigma_p2(6))
+        assert s / (chat + tol) <= json.loads(out)["sigma2"] <= s / (chat - tol)
+
 
 class TestCliConstants:
     def test_report(self, capsys):
@@ -558,7 +572,7 @@ class TestCliExitCodes:
             raise BudgetError("over budget")
 
         sampled = []
-        monkeypatch.setattr(invariants, "chat_estimate", over_budget)
+        monkeypatch.setattr(invariants, "chat_two_tail", over_budget)
         monkeypatch.setattr(bulk, "sample", lambda *a: sampled.append(a))
         code, _, err = run_cli(
             capsys, "dist", "--A", "6", "--N", "12", "--norm", "geom",

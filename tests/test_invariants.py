@@ -14,8 +14,10 @@ from modwind.errors import BudgetError
 from modwind.invariants import (
     build_record,
     chat_estimate,
+    chat_two_tail,
     ck_constant,
     fibonacci,
+    two_tail_bounds,
     geodesic_length_eigen,
     geodesic_length_logsum,
     sigma_p2,
@@ -258,3 +260,80 @@ class TestChatEstimate:
         best = exc.value.best
         assert best is not None and best.A == 5
         assert 5**best.k <= 10**4
+
+
+def _tail_sum_mp(A, k, tail):
+    """(2 / A^k) sum over [A]^k of log [a_1; ..., a_k, tail], at 50 digits."""
+    from mpmath import mp
+
+    with mp.workdps(50):
+        total = mp.mpf(0)
+        for word in itertools.product(range(1, A + 1), repeat=k):
+            h, h_prev, q, q_prev = 1, 0, 0, 1
+            for a in word:
+                h, h_prev = a * h + h_prev, h
+                q, q_prev = a * q + q_prev, q
+            total += mp.log((h * tail + h_prev) / (q * tail + q_prev))
+        return 2 * total / A**k
+
+
+class TestChatTwoTail:
+    @pytest.mark.parametrize("A, k", [(5, 5), (6, 5), (10, 4), (30, 3)])
+    def test_depth_at_default_tolerance(self, A, k):
+        assert chat_two_tail(A, 1e-3).k == k
+
+    @pytest.mark.parametrize("A", [2, 3, 5, 6, 10, 30])
+    @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
+    def test_width_and_minimal_depth(self, A, tol):
+        est = chat_two_tail(A, tol)
+        lo, hi = est.chat_interval
+        assert 2 * est.error_bound <= tol
+        assert lo < est.c_k < hi
+        assert est.sigma_g2_interval[0] < est.sigma_g2 < est.sigma_g2_interval[1]
+        if est.k > 1:
+            lo, hi = two_tail_bounds(A, est.k - 1)
+            assert hi - lo > tol
+
+    def test_interval_contains_its_bounds(self):
+        for A, tol in ((2, 1e-3), (5, 1e-3), (7, 1e-5)):
+            est = chat_two_tail(A, tol)
+            lo, hi = two_tail_bounds(A, est.k)
+            assert est.chat_interval[0] <= lo and hi <= est.chat_interval[1]
+
+    def test_inside_fibonacci_interval(self):
+        est = chat_two_tail(5, 1e-3)
+        assert est.k == 5
+        c10, bound = ck_constant(5, 10), 2 / fibonacci(10) ** 2
+        lo, hi = est.chat_interval
+        assert c10 - bound < lo < hi < c10 + bound
+
+    @pytest.mark.parametrize("A, k", [(2, 8), (5, 4), (6, 3)])
+    def test_padded_bounds_contain_exact_tail_sums(self, A, k):
+        from mpmath import mp
+
+        lo, hi = two_tail_bounds(A, k)
+        ends = [_tail_sum_mp(A, k, tail) for tail in (1 + mp.mpf(1) / (A + 1), mp.mpf(A + 1))]
+        assert lo <= min(ends) and max(ends) <= hi
+        # the pad covers float rounding only
+        assert min(ends) - lo < 1e-8 and hi - max(ends) < 1e-8
+
+    def test_budget_stops_before_the_next_depth(self, monkeypatch):
+        real, depths = invariants.ck_constant, []
+
+        def recording(A, k, budget, tail=None):
+            depths.append(k)
+            return real(A, k, budget, tail)
+
+        monkeypatch.setattr(invariants, "ck_constant", recording)
+        with pytest.raises(BudgetError) as exc:
+            chat_two_tail(5, 1e-9, budget=10**4)
+        assert exc.value.best is None
+        assert max(depths) == 5  # 5^5 <= 10^4 < 5^6: nothing past the budget
+        with pytest.raises(BudgetError):
+            chat_two_tail(10**4 + 1, 1.0, budget=10**4)
+        with pytest.raises(ValueError):
+            chat_two_tail(5, 0.0)
+        depths.clear()
+        with pytest.raises(BudgetError):
+            chat_two_tail(2, 1e-10)  # below any padded width
+        assert not depths

@@ -4,7 +4,7 @@ import math
 import pytest
 from mpmath import mp
 
-from modwind import invariants, necklace, stats
+from modwind import bulk, invariants, necklace, stats
 from modwind.stats import (
     GEOM,
     MAXN,
@@ -239,3 +239,79 @@ class TestSerialization:
         text = stats.dumps17({"x": 1 / 3})
         assert "0.33333333333333331" in text
         assert json.loads(text)["x"] == 1 / 3
+
+
+def _scalar_empirical_cdf(acc, normalization):
+    """The per-point loop that stats.empirical_cdf replaced."""
+    total = acc.total_count()
+    if normalization == GEOM:
+        counts = stats._geom_counts(acc)
+        points = [(acc.hist.lo, counts[0] / total)]
+        running = int(counts[0])
+        for i in range(acc.hist.bins):
+            running += int(counts[i + 1])
+            x = acc.hist.lo + (i + 1) * acc.hist.width
+            points.append((x, running / total))
+        return points
+    values = stats._table_values(acc, normalization)
+    points = []
+    running = 0
+    for x in sorted(values):
+        running += values[x]
+        points.append((x, running / total))
+    return points
+
+
+def _scalar_gaussian_cdf(x, sigma2):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0 * sigma2)))
+
+
+def _scalar_ks(points, sigma2):
+    ks = 0.0
+    prev = 0.0
+    for x, f in points:
+        target = _scalar_gaussian_cdf(x, sigma2)
+        ks = max(ks, abs(f - target), abs(prev - target))
+        prev = f
+    return max(ks, 1.0 - prev)
+
+
+def _scalar_cdf_csv(points, sigma2):
+    lines = ["x,F_emp,F_gauss\n"]
+    for x, f in points:
+        g = _scalar_gaussian_cdf(x, sigma2)
+        lines.append(f"{x:.17g},{f:.17g},{g:.17g}\n")
+    return "".join(lines).encode()
+
+
+_ORACLE_ACCUMULATORS = {
+    "exhaustive": lambda: bulk.run(3, 8),
+    "scalar-records": lambda: full_accumulator(2, 6),
+    "sampled": lambda: bulk.sample(5, 12, 400, 3),
+    "two-bins": lambda: bulk.run(3, 8, hist=HistConfig(-2.0, 2.0, 2)),
+    "sampled-two-bins": lambda: bulk.sample(4, 10, 300, 5, HistConfig(-2.0, 2.0, 2)),
+    "under-and-overflow": lambda: bulk.run(4, 8, hist=HistConfig(-0.3, 0.2, 64)),
+}
+
+
+class TestCdfAgainstScalarLoops:
+    """The numpy CDF, KS and cdf.csv equal the per-point loops bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_ACCUMULATORS))
+    @pytest.mark.parametrize("norm", [PERIOD, MAXN, WORD, GEOM])
+    def test_points_ks_and_csv(self, name, norm, tmp_path):
+        acc = _ORACLE_ACCUMULATORS[name]()
+        points = _scalar_empirical_cdf(acc, norm)
+        assert empirical_cdf(acc, norm) == points
+        for sigma2 in (0.37, float(invariants.sigma_p2(acc.A))):
+            rep = ks_distance(acc, norm, sigma2)
+            assert rep.cdf_points == points
+            assert rep.ks == _scalar_ks(points, sigma2)
+            path = tmp_path / f"cdf-{sigma2}.csv"
+            stats.write_cdf_csv(rep, path)
+            assert path.read_bytes() == _scalar_cdf_csv(points, sigma2)
+
+    def test_tails_hold_mass(self):
+        counts = stats._geom_counts(_ORACLE_ACCUMULATORS["under-and-overflow"]())
+        assert counts[0] > 0 and counts[-1] > 0
+        assert stats._geom_counts(_ORACLE_ACCUMULATORS["two-bins"]()).size == 4
