@@ -29,6 +29,7 @@ from .invariants import (
     winding,
     word_length,
 )
+from .lattice import table as lattice_table
 from .necklace import (
     CountReport,
     Necklace,

@@ -57,6 +57,13 @@ _CHUNK = 1 << 20
 # Candidates per enumeration block; larger blocks fall out of cache.
 _BLOCK = 1 << 15
 
+# Serial seconds per Lyndon candidate of _count_worker and of _worker,
+# and the wall time a process pool adds to a run (fork, worker start-up,
+# result pickling), measured on a 2-core x86_64 Linux machine.
+_COUNT_S = 7e-9
+_RUN_S = 200e-9
+_POOL_START_S = 0.05
+
 
 def _check_feasible(A, N):
     if (N * math.log2(A + 1)) >= _ENTRY_BITS:
@@ -257,6 +264,10 @@ def shard_ranges(A, N):
     return ranges
 
 
+def _candidates(ranges):
+    return sum(hi - lo for _, lo, hi in ranges)
+
+
 def _worker(args):
     return run_shard(*args)
 
@@ -266,13 +277,15 @@ def _count_worker(args):
     return sum(keys.size for keys in _lyndon_keys(*args))
 
 
-def _map_in_order(worker, jobs, threads):
+def _map_in_order(worker, jobs, threads, serial_s):
     """Yield worker(job) for each job in order, on at most `threads`
-    processes; with one, the jobs run here, without a pool."""
+    processes; with one, or when the jobs' estimated serial time serial_s
+    is too little to pay for a pool, the jobs run here, without one."""
     # The pool forks all its workers at once, so never more than can run.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, len(jobs), cpus or 1)
-    if workers <= 1:
+    # w workers save at most (1 - 1/w) of the serial time.
+    if workers <= 1 or serial_s * (1 - 1 / workers) <= _POOL_START_S:
         yield from map(worker, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor
@@ -310,16 +323,20 @@ def run(A, N, hist=None, threads=1, check_rate=0, progress=None):
     Shards are merged in a fixed order, so the result is independent of
     the thread count.
     """
-    jobs = [(A, N, *r, hist, check_rate) for r in shard_ranges(A, N)]
-    return _merge_in_order(_map_in_order(_worker, jobs, threads), len(jobs), progress)
+    ranges = shard_ranges(A, N)
+    jobs = [(A, N, *r, hist, check_rate) for r in ranges]
+    shards = _map_in_order(_worker, jobs, threads, _RUN_S * _candidates(ranges))
+    return _merge_in_order(shards, len(jobs), progress)
 
 
 def count(A, N, threads=1, progress=None):
     """Number of necklaces of period length <= N, counted by enumerating
     the Lyndon keys of the shards of `run`, with the same progress calls."""
-    jobs = [(A, *r) for r in shard_ranges(A, N)]
+    ranges = shard_ranges(A, N)
+    jobs = [(A, *r) for r in ranges]
     total = 0
-    for i, found in enumerate(_map_in_order(_count_worker, jobs, threads), 1):
+    shards = _map_in_order(_count_worker, jobs, threads, _COUNT_S * _candidates(ranges))
+    for i, found in enumerate(shards, 1):
         total += found
         if progress:
             progress(i, len(jobs))

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from . import bulk, invariants, necklace, stats, svgplot, verify
+from . import bulk, invariants, lattice, necklace, stats, svgplot, verify
 from .errors import BudgetError
 
 EXIT_OK = 0
@@ -21,9 +21,13 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_RESOURCE = 4
 
-# Beyond ~1e9 candidate words, exhaustive runs are not desk-scale.
+# Beyond ~1e9 candidate words, enumeration is not desk-scale.  The
+# table-only routes (lattice.table, for dist --norm period|word|maxn and
+# charfn) do no per-word work, but are still held to this cap.
 WORK_CAP = 10**9
-# Each shard allocates up to bulk.grid_cells(A, N) int64 counters.
+# Each shard allocates up to bulk.grid_cells(A, N) int64 counters;
+# lattice.table's largest array, ((A - 1) * N / 2 + 1)^2 counts, is
+# smaller.
 GRID_CAP = 1 << 24
 # verify's brute-force scans walk words in pure Python: 4.9e5 words
 # (A = 5, N = 8) take about 30 s.
@@ -102,6 +106,14 @@ def _too_large(A, N):
         if workload > WORK_CAP:
             return True
     return bulk.grid_cells(A, N) > GRID_CAP
+
+
+def _exact_table(A, N):
+    """Accumulator holding only the exact (n, psi, lw) table of A, N, built
+    from digit-sum counts: all that period, maxn and word statistics read."""
+    acc = stats.JointCounts(A, N)
+    acc.table = lattice.table(A, N, progress=_progress)
+    return acc
 
 
 def build_parser():
@@ -197,9 +209,12 @@ def cmd_dist(args):
     sigma2 = NORM_SIGMA[args.norm](args.A, args.tol)
     if args.sample is not None:
         acc = bulk.sample(args.A, args.N, args.sample, args.seed, hist)
-    else:
+    elif args.norm == stats.GEOM:
+        # Only geom reads the per-word l_g histograms.
         acc = bulk.run(args.A, args.N, hist=hist, threads=args.threads,
                        progress=_progress)
+    else:
+        acc = _exact_table(args.A, args.N)
     report = stats.ks_distance(acc, args.norm, sigma2)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -249,7 +264,7 @@ def cmd_charfn(args):
         print("workload exceeds the exhaustive cap", file=sys.stderr)
         return EXIT_RESOURCE
     sigma2 = float(invariants.sigma_p2(args.A))
-    acc = bulk.run(args.A, args.N, threads=args.threads, progress=_progress)
+    acc = _exact_table(args.A, args.N)
     t_admissible = math.sqrt(2.0 * math.log(args.A) * args.N) / math.sqrt(sigma2)
     rows = []
     for t in args.t:

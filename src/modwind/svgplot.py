@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 420
 MARGIN = 40
 
@@ -16,20 +18,11 @@ def density_histogram(cdf_points, lo, hi, bins):
     """Bin masses from a right-continuous CDF; returns (edges, densities)."""
     width = (hi - lo) / bins
     edges = [lo + i * width for i in range(bins + 1)]
-
-    def cdf_at(x):
-        f = 0.0
-        for px, pf in cdf_points:
-            if px <= x:
-                f = pf
-            else:
-                break
-        return f
-
-    densities = []
-    for i in range(bins):
-        mass = cdf_at(edges[i + 1]) - cdf_at(edges[i])
-        densities.append(mass / width)
+    xs = np.array([x for x, _ in cdf_points], dtype=np.float64)
+    # F at each edge: the value of the last point at or left of it, 0 before any.
+    fs = np.array([0.0] + [f for _, f in cdf_points])
+    at_edges = fs[np.searchsorted(xs, edges, side="right")].tolist()
+    densities = [(b - a) / width for a, b in zip(at_edges, at_edges[1:])]
     return edges, densities
 
 

@@ -3,8 +3,9 @@
 Every check pits an implementation against an independent brute-force
 route at small scale: Moebius counting vs direct scans, necklace
 enumeration vs exhaustive even-shift classification, exact moment
-identities of the winding number, the dual geodesic-length routes, and
-shard-independence of the accumulator.
+identities of the winding number, the dual geodesic-length routes,
+shard-independence of the accumulator, and the digit-sum table against
+the enumerated one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from . import bulk, invariants, necklace
+from . import bulk, invariants, lattice, necklace
 from .stats import merge
 
 
@@ -100,7 +101,8 @@ def check_dual_lengths(A, n_max, tol=1e-9):
 
 def check_shard_independence(A, N):
     """The default shard ranges against the same ranges cut in three, and
-    their merged total against pi_exact and the Lyndon key count."""
+    their merged total against pi_exact and the Lyndon key count; returns
+    the failures and the merged default shards."""
     failures = []
     ranges = bulk.shard_ranges(A, N)
     thirds = [(n, lo + (hi - lo) * k // 3, lo + (hi - lo) * (k + 1) // 3)
@@ -113,7 +115,14 @@ def check_shard_independence(A, N):
         failures.append("shard total != pi_exact")
     if bulk.count(A, N) != whole.total_count():
         failures.append("Lyndon key count != merged shard total")
-    return failures
+    return failures, whole
+
+
+def check_lattice_table(A, N, enumerated):
+    """lattice.table, built from digit-sum counts, against an enumerated table."""
+    if lattice.table(A, N) != enumerated:
+        return ["digit-sum table != merged shard table"]
+    return []
 
 
 # The longest words the brute-force scans walk.
@@ -134,5 +143,7 @@ def run_suite(A, N):
     results.append(("moment_identities", check_moment_identities(A, min(N, 8))))
     dual_failures, _ = check_dual_lengths(A, min(N, 6))
     results.append(("dual_geodesic_length", dual_failures))
-    results.append(("shard_independence", check_shard_independence(A, N)))
+    shard_failures, whole = check_shard_independence(A, N)
+    results.append(("shard_independence", shard_failures))
+    results.append(("lattice_table", check_lattice_table(A, N, whole.table)))
     return results

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modwind import bulk, cli, invariants, necklace, stats, svgplot
+from modwind import bulk, cli, invariants, lattice, necklace, stats, svgplot
 
 NS = {"s": "http://www.w3.org/2000/svg"}
 
@@ -302,3 +302,9 @@ def test_11_determinism(tmp_path, capsys):
             assert code == 0
             tables.append((out_dir / "table.csv").read_bytes())
         assert tables[0] == tables[1]
+
+
+def test_12_lattice_table(full_run):
+    with criterion(12, "digit-sum table equals the enumerated table"):
+        acc, _ = full_run
+        assert lattice.table(5, 12) == acc.table

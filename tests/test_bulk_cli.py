@@ -40,6 +40,28 @@ def reference_accumulator(A, N):
     return acc
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The max_workers of each process pool started; the jobs run in process."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return sizes
+
+
 class TestBulk:
     def test_matches_reference(self):
         for A, N in ((2, 8), (3, 6), (4, 8)):
@@ -92,7 +114,9 @@ class TestBulk:
             assert (small.lg_hist[n] == default.lg_hist[n]).all()
         assert small.total_count() == default.total_count() == necklace.pi_exact(A, N)
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
+        # A real pool, however little the work.
+        monkeypatch.setattr(bulk, "_POOL_START_S", 0)
         one = bulk.run(3, 8, threads=1)
         two = bulk.run(3, 8, threads=2)
         assert one.table == two.table
@@ -117,24 +141,10 @@ class TestBulk:
         monkeypatch.setattr(bulk, "_CHUNK", 64)
         assert bulk.run(4, 8).table == dense.table
 
-    def test_pool_size_bounded(self, monkeypatch):
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    def test_pool_size_bounded(self, pool_starts, monkeypatch):
+        sizes = pool_starts
         monkeypatch.setattr(bulk, "_CHUNK", 2)
+        monkeypatch.setattr(bulk, "_POOL_START_S", 0)
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: set(range(8)))
         bulk.run(2, 4, threads=100_000)  # 4 + 10 candidates: 7 shards
         bulk.run(3, 4, threads=100_000)  # 28 shards, 8 usable CPUs
@@ -143,6 +153,16 @@ class TestBulk:
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: {0})
         bulk.run(3, 4, threads=100_000)
         assert sizes == [7, 8, 3]
+
+    def test_pool_only_for_enough_work(self, pool_starts, monkeypatch):
+        monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: {0, 1})
+        # 1.1e7 candidates at 7 ns and 2 364 at 200 ns: less than a pool costs.
+        assert bulk.count(9, 8, threads=2) == necklace.pi_exact(9, 8)
+        bulk.run(3, 8, threads=2)
+        assert pool_starts == []
+        # 2.3e6 candidates at 200 ns: about 0.45 s of serial work.
+        bulk.run(5, 10, threads=2)
+        assert pool_starts == [2]
 
 
 def _lyndon_keys_by_division(A, n, lo, hi):
@@ -222,6 +242,7 @@ class TestCount:
     def test_small_shards_and_blocks(self, A, N, monkeypatch):
         monkeypatch.setattr(bulk, "_CHUNK", 11)
         monkeypatch.setattr(bulk, "_BLOCK", 3)
+        monkeypatch.setattr(bulk, "_POOL_START_S", 0)
         expected = necklace.pi_exact(A, N)
         counted, merged = [], []
         assert bulk.count(A, N, progress=lambda *p: counted.append(p)) == expected
@@ -242,24 +263,10 @@ class TestCount:
         with pytest.raises(AssertionError):
             bulk.run(3, 8)
 
-    def test_pool_size_bounded(self, monkeypatch):
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    def test_pool_size_bounded(self, pool_starts, monkeypatch):
+        sizes = pool_starts
         monkeypatch.setattr(bulk, "_CHUNK", 2)
+        monkeypatch.setattr(bulk, "_POOL_START_S", 0)
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: set(range(8)))
         assert bulk.count(2, 4, threads=100_000) == necklace.pi_exact(2, 4)  # 7 shards
         assert bulk.count(3, 4, threads=100_000) == necklace.pi_exact(3, 4)  # 28 shards

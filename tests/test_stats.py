@@ -4,7 +4,7 @@ import math
 import pytest
 from mpmath import mp
 
-from modwind import bulk, invariants, necklace, stats
+from modwind import bulk, invariants, necklace, stats, svgplot
 from modwind.stats import (
     GEOM,
     MAXN,
@@ -315,3 +315,43 @@ class TestCdfAgainstScalarLoops:
         counts = stats._geom_counts(_ORACLE_ACCUMULATORS["under-and-overflow"]())
         assert counts[0] > 0 and counts[-1] > 0
         assert stats._geom_counts(_ORACLE_ACCUMULATORS["two-bins"]()).size == 4
+
+
+def _scalar_density_histogram(cdf_points, lo, hi, bins):
+    """The per-edge rescan of the CDF that svgplot.density_histogram replaced."""
+    width = (hi - lo) / bins
+    edges = [lo + i * width for i in range(bins + 1)]
+
+    def cdf_at(x):
+        f = 0.0
+        for px, pf in cdf_points:
+            if px <= x:
+                f = pf
+            else:
+                break
+        return f
+
+    densities = []
+    for i in range(bins):
+        mass = cdf_at(edges[i + 1]) - cdf_at(edges[i])
+        densities.append(mass / width)
+    return edges, densities
+
+
+class TestDensityHistogramAgainstLoop:
+    """svgplot's one-pass bin masses equal the per-edge loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_ACCUMULATORS))
+    @pytest.mark.parametrize("norm", [PERIOD, WORD, GEOM])
+    def test_densities(self, name, norm):
+        points = empirical_cdf(_ORACLE_ACCUMULATORS[name](), norm)
+        for lo, hi, bins in ((-3.0, 3.0, 80), (-0.5, 0.25, 7), (5.0, 6.0, 3)):
+            got = svgplot.density_histogram(points, lo, hi, bins)
+            assert got == _scalar_density_histogram(points, lo, hi, bins)
+
+    @pytest.mark.parametrize("norm, sigma2", [(PERIOD, 2.0), (GEOM, 0.9023)])
+    def test_svg_bytes(self, norm, sigma2, monkeypatch):
+        points = ks_distance(bulk.run(5, 8), norm, sigma2).cdf_points
+        svg = svgplot.render(points, sigma2)
+        monkeypatch.setattr(svgplot, "density_histogram", _scalar_density_histogram)
+        assert svg == svgplot.render(points, sigma2)
