@@ -47,10 +47,17 @@ from collections import Counter
 import numpy as np
 
 from . import invariants, necklace
+from .errors import BudgetError
 from .stats import JointCounts, merge
 
 # int64 matrix entries stay exact below this bound on (A+1)^n.
 _ENTRY_BITS = 62
+
+# Desk-scale limits: enumeration walks at most WORK_CAP words (sum of
+# A^n over even n <= N), and the (psi, lw) grid of the longest period
+# length, which holds all of its table cells, has at most GRID_CAP cells.
+WORK_CAP = 10**9
+GRID_CAP = 1 << 24
 
 # Candidates per shard, and digits per sampled block.
 _CHUNK = 1 << 20
@@ -67,12 +74,19 @@ _POOL_START_S = 0.05
 
 def _check_feasible(A, N):
     if (N * math.log2(A + 1)) >= _ENTRY_BITS:
-        raise ValueError(f"int64 fast path infeasible for A={A}, N={N}")
+        raise BudgetError(f"int64 fast path infeasible for A={A}, N={N}")
 
 
 def grid_cells(A, n):
     """Cells of the dense (psi, lw) bincount grid at period length n."""
     return ((A - 1) * n + 1) * (2 * A * n + 1)
+
+
+def check_grid(A, N):
+    """Raise BudgetError when the (psi, lw) grid at N passes GRID_CAP."""
+    if grid_cells(A, N) > GRID_CAP:
+        raise BudgetError(f"the (psi, lw) grid of A={A}, N={N} passes the grid cap "
+                          f"of {GRID_CAP} cells")
 
 
 def _candidate_ends(A, n):
@@ -255,7 +269,12 @@ def run_shard(A, N, n, lo, hi, hist=None, check_rate=0):
 
 def shard_ranges(A, N):
     """Every candidate of period length <= N, as (n, lo, hi) ranges of at
-    most _CHUNK candidates in increasing order."""
+    most _CHUNK candidates in increasing order.  Raises BudgetError,
+    before making any, past WORK_CAP or GRID_CAP."""
+    if any(w > WORK_CAP for w in itertools.accumulate(A**n for n in range(2, N + 1, 2))):
+        raise BudgetError(f"enumerating A={A}, N={N} passes the work cap of "
+                          f"{WORK_CAP} words; sample it instead")
+    check_grid(A, N)
     _check_feasible(A, N)
     ranges = []
     for n in range(2, N + 1, 2):

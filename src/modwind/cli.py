@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout; progress lines go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O,
-4 resource budget exceeded.
+4 resource budget exceeded: the module doing the work raises BudgetError
+before it starts, and main reports it.
 """
 
 from __future__ import annotations
@@ -20,18 +21,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_RESOURCE = 4
-
-# Beyond ~1e9 candidate words, enumeration is not desk-scale.  The
-# table-only routes (lattice.table, for dist --norm period|word|maxn and
-# charfn) do no per-word work, but are still held to this cap.
-WORK_CAP = 10**9
-# Each shard allocates up to bulk.grid_cells(A, N) int64 counters;
-# lattice.table's largest array, ((A - 1) * N / 2 + 1)^2 counts, is
-# smaller.
-GRID_CAP = 1 << 24
-# verify's brute-force scans walk words in pure Python: 4.9e5 words
-# (A = 5, N = 8) take about 30 s.
-VERIFY_CAP = 10**6
 
 NORM_SIGMA = {
     stats.PERIOD: lambda A, tol: float(invariants.sigma_p2(A)),
@@ -96,16 +85,6 @@ def _finite(value):
     if not math.isfinite(t):
         raise argparse.ArgumentTypeError(f"must be finite, got {t}")
     return t
-
-
-def _too_large(A, N):
-    """True when an exhaustive run passes WORK_CAP or GRID_CAP."""
-    workload = 0
-    for n in range(2, N + 1, 2):
-        workload += A**n
-        if workload > WORK_CAP:
-            return True
-    return bulk.grid_cells(A, N) > GRID_CAP
 
 
 def _exact_table(A, N):
@@ -176,15 +155,12 @@ def _emit(obj):
 
 
 def cmd_count(args):
-    if args.exact and _too_large(args.A, args.N):
-        print("exact enumeration exceeds the work cap", file=sys.stderr)
-        return EXIT_RESOURCE
-    report = necklace.pi_asymptotic(args.A, args.N)
-    if args.exact:
+    if args.exact:  # priced before the asymptotic count can overflow
         total = bulk.count(args.A, args.N, threads=args.threads, progress=_progress)
-        if total != report.exact:
-            print(f"enumerated {total} != pi_exact {report.exact}", file=sys.stderr)
-            return EXIT_VERIFY
+    report = necklace.pi_asymptotic(args.A, args.N)
+    if args.exact and total != report.exact:
+        print(f"enumerated {total} != pi_exact {report.exact}", file=sys.stderr)
+        return EXIT_VERIFY
     _emit({
         "A": args.A,
         "N": args.N,
@@ -198,13 +174,12 @@ def cmd_count(args):
 
 def cmd_dist(args):
     # One histogram row of bins + 2 cells per period length.
-    if args.N // 2 * (args.bins + 2) > GRID_CAP:
+    if args.N // 2 * (args.bins + 2) > bulk.GRID_CAP:
         print("histogram exceeds the grid cap; use fewer --bins", file=sys.stderr)
         return EXIT_RESOURCE
     hist = stats.default_hist(args.A, args.bins)
-    if args.sample is None and _too_large(args.A, args.N):
-        print("workload exceeds the exhaustive cap; use --sample", file=sys.stderr)
-        return EXIT_RESOURCE
+    if args.sample is None and args.norm == stats.GEOM:
+        bulk.shard_ranges(args.A, args.N)  # the enumeration's price, before ĉ's
     # Before any sampling or enumeration: ĉ may be over its budget.
     sigma2 = NORM_SIGMA[args.norm](args.A, args.tol)
     if args.sample is not None:
@@ -260,9 +235,6 @@ def cmd_constants(args):
 
 
 def cmd_charfn(args):
-    if _too_large(args.A, args.N):
-        print("workload exceeds the exhaustive cap", file=sys.stderr)
-        return EXIT_RESOURCE
     sigma2 = float(invariants.sigma_p2(args.A))
     acc = _exact_table(args.A, args.N)
     t_admissible = math.sqrt(2.0 * math.log(args.A) * args.N) / math.sqrt(sigma2)
@@ -291,9 +263,6 @@ def cmd_charfn(args):
 
 
 def cmd_verify(args):
-    if verify.scan_size(args.A, args.N) > VERIFY_CAP or _too_large(args.A, args.N):
-        print("verification exceeds the work cap", file=sys.stderr)
-        return EXIT_RESOURCE
     results = verify.run_suite(args.A, args.N)
     failed = False
     for name, failures in results:

@@ -17,18 +17,22 @@ from collections import Counter
 
 import numpy as np
 
+from .bulk import check_grid
+from .errors import BudgetError
 from .necklace import mobius
 
 
 def table(A, N, progress=None):
     """Exact {(n, psi, lw): count} over the necklaces of period length <= N,
     the table `bulk.run(A, N).table` enumerates; progress(i, N // 2) after
-    each period length."""
+    each period length.  Raises BudgetError, before building anything,
+    past bulk's grid cap or the int64 range."""
     if A < 2 or N < 2 or N % 2:
         raise ValueError("need A >= 2 and even N >= 2")
+    check_grid(A, N)
     # Every count and partial Moebius sum is below 2 A^N.
     if A**N >= 2**62:
-        raise ValueError(f"the counts of A={A}, N={N} overflow int64")
+        raise BudgetError(f"the counts of A={A}, N={N} overflow int64")
     M = N // 2
     sums = [np.ones(1, dtype=np.int64)]
     for _ in range(M):

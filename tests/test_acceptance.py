@@ -289,19 +289,23 @@ def test_10_comparison_diagnostics(restrictions, chat5):
         assert lo < mean_g < hi
 
 
-def test_11_determinism(tmp_path, capsys):
+def test_11_determinism(tmp_path, capsys, real_pool):
+    # geom enumerates, so --threads 8 runs its 3 shards of period length
+    # 10 on a pool; the table routes ignore --threads.
     with criterion(11, "thread-count determinism"):
-        tables = []
+        outputs = []
         for threads in ("1", "8"):
             out_dir = tmp_path / threads
             code = cli.main([
-                "dist", "--A", "4", "--N", "10", "--norm", "period",
+                "dist", "--A", "5", "--N", "10", "--norm", "geom", "--svg",
                 "--threads", threads, "--out-dir", str(out_dir),
             ])
-            capsys.readouterr()
             assert code == 0
-            tables.append((out_dir / "table.csv").read_bytes())
-        assert tables[0] == tables[1]
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((capsys.readouterr().out, files))
+        assert outputs[0] == outputs[1]
+        assert set(outputs[0][1]) == {"table.csv", "cdf.csv", "report.json", "dist.svg"}
+        assert len(real_pool) == 1 and real_pool[0] >= 2
 
 
 def test_12_lattice_table(full_run):

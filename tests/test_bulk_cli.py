@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modwind import bulk, cli, invariants, necklace, stats
+from modwind import bulk, cli, invariants, lattice, necklace, stats, verify
 from modwind.errors import BudgetError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -130,10 +130,16 @@ class TestBulk:
         assert acc.check_max_rel < 1e-9
 
     def test_infeasible_configuration(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetError):
             bulk.run(100, 12)
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetError):
             bulk.shard_ranges(100, 12)
+        # The pricing of run and count at the grid and work caps.
+        for accepted, refused in (((1448, 2), (1449, 2)), ((5, 12), (5, 14)),
+                                  ((2, 28), (2, 30))):
+            assert bulk.shard_ranges(*accepted)
+            with pytest.raises(BudgetError, match="cap"):
+                bulk.shard_ranges(*refused)
 
     def test_sparse_block_table(self, monkeypatch):
         # Blocks whose cell span passes _CHUNK are sorted, not counted densely.
@@ -225,7 +231,7 @@ class TestLyndonKeys:
     def test_top_of_largest_feasible_n(self, A, n):
         # The keys and rotation differences nearest A^n < 2^62.
         bulk._check_feasible(A, n)
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetError):
             bulk._check_feasible(A, n + 2)
         total = int(bulk._candidate_ends(A, n)[-1])
         assert_same_blocks(A, n, total - 10_000, total)
@@ -372,17 +378,22 @@ class TestCliDist:
         assert len(groups[0].findall("s:rect", ns)) > 0
         assert len(root.findall("s:path", ns)) == 1
 
-    def test_thread_invariant_artifacts(self, tmp_path, capsys):
-        texts = []
-        for threads in ("1", "4"):
-            out_dir = tmp_path / threads
-            code, _, _ = run_cli(
-                capsys, "dist", "--A", "3", "--N", "6", "--norm", "word",
-                "--out-dir", str(out_dir), "--threads", threads,
-            )
-            assert code == 0
-            texts.append((out_dir / "table.csv").read_bytes())
-        assert texts[0] == texts[1]
+    def test_thread_invariant_artifacts(self, tmp_path, capsys, real_pool):
+        # 4 shards of period length 12, and 11 of period length 8
+        for argv in (["dist", "--A", "4", "--N", "12", "--norm", "geom", "--svg"],
+                     ["count", "--A", "9", "--N", "8", "--exact"]):
+            outputs = []
+            for threads in ("1", "4"):
+                out_dir = tmp_path / argv[0] / threads
+                out_dir.mkdir(parents=True)
+                extra = ["--out-dir", str(out_dir)] if argv[0] == "dist" else []
+                code, out, _ = run_cli(capsys, *argv, *extra, "--threads", threads)
+                assert code == 0
+                files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+                outputs.append((out, files))
+            assert outputs[0] == outputs[1]
+        # Only the --threads 4 runs start a pool.
+        assert len(real_pool) == 2 and min(real_pool) >= 2
 
     def test_sample_mode_deterministic(self, tmp_path, capsys):
         outs = []
@@ -409,9 +420,33 @@ class TestCliDist:
 
     def test_work_cap(self, capsys):
         code, _, err = run_cli(capsys, "dist", "--A", "9", "--N", "12",
-                               "--norm", "period")
+                               "--norm", "geom")
         assert code == 4
         assert "sample" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--A", "9", "--N", "12", "--norm", "period"],
+        ["dist", "--A", "9", "--N", "12", "--norm", "word"],
+        ["dist", "--A", "9", "--N", "12", "--norm", "maxn"],
+        ["dist", "--A", "5", "--N", "26", "--norm", "word"],
+        ["charfn", "--A", "2", "--N", "60", "--t", "1"],
+    ])
+    def test_table_routes_past_work_cap(self, argv, tmp_path, capsys):
+        # The exact table does no per-word work, so only the grid cap and
+        # the int64 range of its counts hold it.
+        A, N = int(argv[2]), int(argv[4])
+        extra = ["--out-dir", str(tmp_path)] if argv[0] == "dist" else []
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        if argv[0] == "charfn":
+            # 7.8e-5 at N = 60: the exact table is near its Gaussian limit.
+            assert json.loads(out)["points"][0]["gap"] < 1e-3
+            return
+        assert json.loads(out)["count"] == necklace.pi_exact(A, N)
+        rows = (tmp_path / "table.csv").read_text().splitlines()
+        assert rows[0] == "n,psi,lw,count"
+        table = {tuple(map(int, r.split(",")[:3])): int(r.split(",")[3]) for r in rows[1:]}
+        assert table == lattice.table(A, N)
 
     def test_sample_past_int64_bound(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "dist", "--A", "9", "--N", "40", "--norm", "period",
@@ -497,6 +532,13 @@ class TestCliExitCodes:
         (["count", "--A", "3", "--N", "4", "--threads", "-2"], 2),
         (["count", "--A", "2", "--N", "2000"], 4),
         (["count", "--A", "5", "--N", "500"], 4),
+        # the accepted sides of the grid and work caps
+        (["count", "--A", "1448", "--N", "2", "--exact"], 0),
+        (["count", "--A", "2", "--N", "28", "--exact"], 0),
+        # past the int64 range of the exact table, and the work cap
+        (["dist", "--A", "3", "--N", "40", "--norm", "period"], 4),
+        (["charfn", "--A", "2", "--N", "62", "--t", "1"], 4),
+        (["dist", "--A", "5", "--N", "40", "--norm", "geom"], 4),
     ])
     def test_invalid_input(self, argv, expected, tmp_path):
         proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
@@ -506,14 +548,30 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("argv", [
         ["count", "--A", "3", "--N", "1000000", "--exact"],
         ["charfn", "--A", "3", "--N", "80000", "--t", "1"],
+        # the refused sides of the grid and work caps
+        ["count", "--A", "1449", "--N", "2", "--exact"],
+        ["count", "--A", "2", "--N", "30", "--exact"],
+        ["dist", "--A", "1449", "--N", "2", "--norm", "geom"],
+        ["dist", "--A", "5", "--N", "14", "--norm", "geom"],
+        ["verify", "--A", "2", "--N", "30"],
     ])
-    def test_work_cap_stops_early(self, argv, capsys):
+    def test_work_cap_stops_early(self, argv, capsys, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        # Each refusal comes before any enumeration, scan or c-hat, and
+        # writes nothing.
+        for module, name in ((bulk, "_lyndon_keys"), (verify, "_all_words"),
+                             (invariants, "chat_two_tail")):
+            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.chdir(tmp_path)
         start = time.monotonic()
         code, out, err = run_cli(capsys, *argv)
         assert time.monotonic() - start < 1.0
         assert code == 4
         assert out == ""
         assert "cap" in err
+        assert not any(tmp_path.iterdir())
 
     def test_count_overflow_stops_early(self, capsys):
         # The float asymptotic overflows before pi_exact sums 40,000 terms.

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modwind import bulk, cli, lattice, necklace
+from modwind.errors import BudgetError
 
 # Every output file of `dist` and stdout of both commands, for the exact
 # (n, psi, lw) table routes.
@@ -44,7 +45,7 @@ class TestTable:
 
     @pytest.mark.parametrize("A, N", [(2, 62), (3, 40), (2**31, 2)])
     def test_int64_bound(self, A, N):
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetError):
             lattice.table(A, N)
 
     @pytest.mark.parametrize("A, N", [(1, 4), (3, 5), (3, 0)])
