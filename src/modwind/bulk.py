@@ -10,22 +10,25 @@ numbered by c and then by the base-(Q - c) index of their later pairs;
 one strict mask keeps those smaller than every proper rotation.  Under
 first pair c the candidates fall into boxes of (Q - c)^t consecutive
 indices, in each of which the last t pairs run over all of [c, Q)^t.
-The key, and its difference from each rotation, are linear in the
-pairs, so each is one scalar per box plus one table over the box built
-once per c: a block of candidates costs broadcast adds and comparisons,
-and only box indices are ever divided.
+The key, its difference from each rotation, the winding psi and the
+word length lw are linear in the pairs, so each is one scalar per box
+plus one table over the box built once per c, and the trace of the
+word's matrix is bilinear in one 2x2 matrix per box and one per table
+entry: a block of candidates costs broadcast adds, comparisons and one
+product, no digit is decoded, and only box indices are ever divided.
 
 A shard is a range (n, lo, hi) of at most _CHUNK candidates of period
 length n.  `run` merges its shards in increasing order, so the result
 does not depend on the thread count.  `count` walks the same shards but
-runs only the Lyndon stage: a count needs the keys, not their digits,
-lengths or table cells.
+forms only the Lyndon masks: a count needs no key, invariant or table
+cell.
 
 `sample` draws necklaces uniformly without canonicalizing them: all
 invariants are constant on an even-shift class, and each necklace of
 period length n has exactly n/2 words whose pair-word is aperiodic, so
-uniform aperiodic words are uniform necklaces.  Its words go through
-the same length and accumulation kernels as the enumeration.
+uniform aperiodic words are uniform necklaces.  Its digit blocks give
+psi, lw and the trace directly, and go through the same accumulation
+kernel as the enumeration.
 
 Digit matrices are multiplied in int64, which is exact as long as
 (A+1)^n < 2^62; the same bound keeps the keys below A^N < 2^62, and
@@ -53,10 +56,11 @@ from .stats import JointCounts, merge
 # int64 matrix entries stay exact below this bound on (A+1)^n.
 _ENTRY_BITS = 62
 
-# Desk-scale limits: enumeration walks at most WORK_CAP words (sum of
-# A^n over even n <= N), and the (psi, lw) grid of the longest period
-# length, which holds all of its table cells, has at most GRID_CAP cells.
-WORK_CAP = 10**9
+# Desk-scale limits: enumeration walks at most WORK_CAP Lyndon candidates
+# (about a minute of serial run at _RUN_S), and the (psi, lw) grid of the
+# longest period length, which holds all of its table cells, has at most
+# GRID_CAP cells.
+WORK_CAP = 12 * 10**8
 GRID_CAP = 1 << 24
 
 # Candidates per shard, and digits per sampled block.
@@ -67,14 +71,15 @@ _BLOCK = 1 << 15
 # Serial seconds per Lyndon candidate of _count_worker and of _worker,
 # and the wall time a process pool adds to a run (fork, worker start-up,
 # result pickling), measured on a 2-core x86_64 Linux machine.
-_COUNT_S = 7e-9
-_RUN_S = 200e-9
+_COUNT_S = 4e-9
+_RUN_S = 50e-9
 _POOL_START_S = 0.05
 
 
 def _check_feasible(A, N):
     if (N * math.log2(A + 1)) >= _ENTRY_BITS:
-        raise BudgetError(f"int64 fast path infeasible for A={A}, N={N}")
+        raise BudgetError(f"enumerating A={A}, N={N} passes the int64 cap on its traces, "
+                          f"(A+1)^N < 2^{_ENTRY_BITS}; sample it instead")
 
 
 def grid_cells(A, n):
@@ -94,26 +99,59 @@ def _candidate_ends(A, n):
     return np.cumsum(np.arange(A * A, 0, -1, dtype=np.int64) ** (n // 2 - 1))
 
 
-def _lyndon_keys(A, n, lo, hi):
-    """Keys of the Lyndon pair-words among candidates lo..hi-1 of period
-    length n, one array per block of _BLOCK candidates from lo.
+# The 2x2 identity matrix as one column of rows (00, 01, 10, 11).
+_IDENTITY = np.array([[1], [0], [0], [1]], dtype=np.int64)
 
-    Every value formed is a partial sum of p_i Q^e_i - p_i Q^f_i over
-    distinct e_i and distinct f_i, so it lies in (-A^n, A^n), inside
-    int64 under _check_feasible's bound.
+
+def _mul(x, y):
+    """Products x y of 2x2 matrices held as rows (00, 01, 10, 11),
+    broadcast over the other axes."""
+    z = np.einsum("ij...,jk...->ik...", x.reshape(2, 2, *x.shape[1:]),
+                  y.reshape(2, 2, *y.shape[1:]))
+    return z.reshape(4, *z.shape[2:])
+
+
+def _lyndon_blocks(A, n, lo, hi, values=True):
+    """The Lyndon pair-words among candidates lo..hi-1 of period length n,
+    one item per block of _BLOCK candidates from lo: the int64 arrays
+    (keys, psi, lw, trace) over the block's kept words, in candidate
+    order, or with values=False only how many words it keeps.
+
+    The key, psi, lw and each key - rot_s, where rot_s is the rotation
+    by s pairs, are sums of one term per pair.  The word's matrix is
+    C R S, the product of the matrices of its first pair c, of the other
+    leading pairs of its box and of its trailing pairs, and its trace is
+    that of R T with T = S C, R00 T00 + R01 T10 + R10 T01 + R11 T11.  A
+    key or key - rot_s is a partial sum of p_i Q^e_i - p_i Q^f_i over
+    distinct e_i and distinct f_i, so it lies in (-A^n, A^n); every entry
+    of R and of T, and every term of the trace, is a sum of nonnegative
+    terms of the trace, below (A+1)^n.  Both are inside int64 under
+    _check_feasible's bound.
     """
     m = n // 2
     Q = A * A
     if m == 1:
-        # A lone pair is its own key and its only rotation.
+        # A lone pair (a, b) is its own key and its only rotation.
         for start in range(lo, hi, _BLOCK):
-            yield np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
+            stop = min(start + _BLOCK, hi)
+            if not values:
+                yield stop - start
+                continue
+            keys = np.arange(start, stop, dtype=np.int64)
+            a, b = np.divmod(keys, A)
+            a += 1
+            b += 1
+            yield keys, a - b, 2 * (a + b), a * b + 2
         return
     ends = _candidate_ends(A, n).tolist()
-    # Column 0 holds pair i's weight in the key, column s its weight in
-    # key - rot_s, where rot_s is the rotation by s pairs.
+    # Pair i's weight in the key and in each key - rot_s.
     weight = Q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    coef = np.stack([weight] + [weight - np.roll(weight, s) for s in range(1, m)], axis=1)
+    coef = np.stack([weight - np.roll(weight, s) for s in range(1, m)], axis=1)
+    if values:
+        coef = np.concatenate([weight[:, None], coef], axis=1)
+    # Terms rows 0..2 are the key, psi and lw, with values; the rest
+    # are the key - rot_s.
+    vals = 3 if values else 0
     c = None
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)
@@ -123,40 +161,76 @@ def _lyndon_keys(A, n, lo, hi):
             if c is None or pos >= ends[c]:
                 c = bisect.bisect_right(ends, pos)
                 b = Q - c
-                # The widest box that fits in a block, but at least one
-                # pair wide, so that no candidate index is divided.
+                # The widest box that fits in a block, at most m - 2 pairs
+                # wide so that the table of c serves b boxes or more, but
+                # at least one pair wide, so that no candidate index is
+                # divided.
                 t = 1
-                while t < m - 1 and b ** (t + 1) <= _BLOCK:
+                while t < m - 2 and b ** (t + 1) <= _BLOCK:
                     t += 1
                 box = b**t
                 first = ends[c] - b ** (m - 1)
-                # Row s of trail: form s's trailing part at each index of a box.
                 pairs = np.arange(c, Q, dtype=np.int64)
-                trail = np.zeros((m, 1), dtype=np.int64)
-                for i in range(m - t, m):
-                    trail = (trail[:, :, None] + coef[i, :, None, None] * pairs).reshape(m, -1)
+                if values:
+                    # The pairs c..Q-1 as digits (a, b): their terms in
+                    # psi and lw, and their matrices.
+                    a_d, b_d = np.divmod(pairs, A)
+                    a_d += 1
+                    b_d += 1
+                    extra = np.stack([a_d - b_d, 2 * (a_d + b_d)])
+                    mats = np.stack([a_d * b_d + 1, a_d, b_d, np.ones_like(pairs)])
+
+                def terms(i, j=slice(None)):
+                    """Pair i's terms, one column per pair c + j."""
+                    rows = coef[i, :, None] * pairs[j]
+                    if values:
+                        rows = np.concatenate([rows[:1], extra[:, j], rows[1:]])
+                    return rows
+
+                # Column k of trail and tmat: the terms and the matrix S
+                # of the last t pairs at index k of a box, built from the
+                # last pair back so that the longest axis is innermost.
+                trail = terms(m - 1)
+                tmat = mats if values else None
+                for i in range(m - 2, m - 1 - t, -1):
+                    trail = (terms(i)[:, :, None] + trail[:, None, :]).reshape(len(trail), -1)
+                    if values:
+                        tmat = _mul(mats[:, :, None], tmat[:, None, :]).reshape(4, -1)
+                if values:
+                    # Rows T00, T10, T01, T11 of T = S C, to pair with
+                    # R00, R01, R10, R11.
+                    tmat = _mul(tmat, mats[:, :1])[[0, 2, 1, 3]]
             end = min(stop, ends[c])
             k0, a = divmod(pos - first, box)
             k1, z = divmod(end - 1 - first, box)
-            # Row per box, column 0: the key's leading part; column s:
-            # minus that of key - rot_s, so keep where trail[s] < lead[:, s].
-            lead = c * coef[0] + np.zeros((k1 + 1 - k0, 1), dtype=np.int64)
+            # Column per box: its leading terms, and R.
+            lead = terms(0, slice(0, 1)) + np.zeros((1, k1 + 1 - k0), dtype=np.int64)
+            rmat = _IDENTITY
             rest = np.arange(k0, k1 + 1, dtype=np.int64)
             for i in range(m - 1 - t, 0, -1):
                 rest, pair = np.divmod(rest, b)
-                lead += (pair[:, None] + c) * coef[i]
-            lead[:, 1:] *= -1
-            # Whole rows of boxes k0..k1, cropped to pos..end-1 after the
-            # mask; a block within one box takes only its own columns.
+                lead += terms(i, pair)
+                if values:
+                    rmat = _mul(mats[:, pair], rmat)
+            # Whole boxes k0..k1, and the mask cropped to pos..end-1; a
+            # block within one box takes only its own columns.
             u, v = (a, z + 1) if k0 == k1 else (0, box)
-            key = (lead[:, :1] + trail[0, u:v]).ravel()
-            keep = trail[1, u:v] < lead[:, 1:2]
-            for s in range(2, m):
-                keep &= trail[s, u:v] < lead[:, s:s + 1]
-            span = slice(a - u, a - u + end - pos)
-            parts.append(key[span][keep.ravel()[span]])
+            # Keep where every key - rot_s is negative.
+            keep = (trail[vals:, None, u:v] < -lead[vals:, :, None]).all(axis=0).ravel()
+            keep[:a - u] = False
+            keep[a - u + end - pos:] = False
+            if values:
+                out = np.empty((4, k1 + 1 - k0, v - u), dtype=np.int64)
+                np.add(lead[:3, :, None], trail[:3, None, u:v], out=out[:3])
+                np.einsum("ir,ix->rx", rmat, tmat[:, u:v], out=out[3])
+                parts.append(np.compress(keep, out.reshape(4, -1), axis=1))
+            else:
+                parts.append(np.count_nonzero(keep))
             pos = end
-        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if not values:
+            yield sum(parts)
+        else:
+            yield tuple(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
 
 
 def _digits(A, n, keys):
@@ -167,10 +241,17 @@ def _digits(A, n, keys):
     return digits
 
 
+def _trace_lengths(trace):
+    """Geometric lengths 2*log(lambda) of matrices of int64 trace t, where
+    t = lambda + 1/lambda."""
+    t = trace.astype(np.float64)
+    return 2.0 * np.log((t + np.sqrt(t * t - 4.0)) / 2.0)
+
+
 def _geodesic_lengths(A, digits):
     """Float64 geometric lengths 2*log(lambda) of the words' matrices.
 
-    While (A+1)^n < 2^62 the trace t is exact in int64.  Past that bound
+    While (A+1)^n < 2^62 the trace is exact in int64.  Past that bound
     the entries are float64, and after every step all four are divided
     by the power of two that brings the top-left entry, the largest, into
     [1/2, 1); the exponents are summed, so neither the trace nor its
@@ -186,8 +267,7 @@ def _geodesic_lengths(A, digits):
             w = digits[:, i].astype(np.int64)
             a, b = a * w + b, a
             c, d = c * w + d, c
-        t = (a + d).astype(np.float64)
-        return 2.0 * np.log((t + np.sqrt(t * t - 4.0)) / 2.0)
+        return _trace_lengths(a + d)
     a = np.ones(count)
     b = np.zeros(count)
     c = np.zeros(count)
@@ -207,18 +287,14 @@ def _geodesic_lengths(A, digits):
     return 2.0 * (np.log(t) + (exp - 1) * math.log(2.0) + np.log1p(np.sqrt(1.0 - r * r)))
 
 
-def _accumulate_block(acc, n, digits, lg, check_rate):
-    """Fold a block of primitive words into the accumulator.
+def _accumulate_block(acc, n, psi, lw, lg):
+    """Fold a block of primitive words of period length n, given by their
+    int64 psi and lw and float64 lg, into the accumulator.
 
     Any word of a necklace will do: every invariant is constant on its
     class.
     """
     A = acc.A
-    signs = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
-    wide = digits.astype(np.int64)
-    psi = wide @ signs
-    lw = 2 * wide.sum(axis=1)
-
     pmax = (A - 1) * n // 2
     lwmax = 2 * A * n
     comp = (psi + pmax) * (lwmax + 1) + lw
@@ -245,42 +321,48 @@ def _accumulate_block(acc, n, digits, lg, check_rate):
     rg = lg / n
     acc.lg_sums[n] += (x.sum(), (x * x).sum(), rg.sum(), (rg * rg).sum())
 
-    if check_rate:
-        for i in range(0, len(digits), check_rate):
-            word = tuple(int(v) for v in digits[i])
-            logsum = invariants.geodesic_length_logsum(word)
-            eigen = invariants.geodesic_length_eigen(word)
-            # Both oracles, and the float64 length the block was binned by.
-            rel = max(abs(logsum - eigen), abs(lg[i] - eigen)) / eigen
-            acc.check_count += 1
-            acc.check_max_rel = max(acc.check_max_rel, rel)
+
+def _check_lengths(acc, words, lg):
+    """Check the float64 lengths lg of the digit rows words against both
+    mpmath oracles, and the oracles against each other."""
+    for word, length in zip(words.tolist(), lg.tolist()):
+        logsum = invariants.geodesic_length_logsum(word)
+        eigen = invariants.geodesic_length_eigen(word)
+        rel = max(abs(logsum - eigen), abs(length - eigen)) / eigen
+        acc.check_count += 1
+        acc.check_max_rel = max(acc.check_max_rel, rel)
 
 
 def run_shard(A, N, n, lo, hi, hist=None, check_rate=0):
-    """Accumulate the necklaces among candidates lo..hi-1 of period length n."""
+    """Accumulate the necklaces among candidates lo..hi-1 of period length
+    n; every check_rate-th word of a block, decoded from its key, is
+    checked against the mpmath lengths."""
     _check_feasible(A, N)
     acc = JointCounts(A, N, hist)
-    for keys in _lyndon_keys(A, n, lo, hi):
+    for keys, psi, lw, trace in _lyndon_blocks(A, n, lo, hi):
         if keys.size:
-            block = _digits(A, n, keys)
-            _accumulate_block(acc, n, block, _geodesic_lengths(A, block), check_rate)
+            lg = _trace_lengths(trace)
+            _accumulate_block(acc, n, psi, lw, lg)
+            if check_rate:
+                _check_lengths(acc, _digits(A, n, keys[::check_rate]), lg[::check_rate])
     return acc
 
 
 def shard_ranges(A, N):
     """Every candidate of period length <= N, as (n, lo, hi) ranges of at
     most _CHUNK candidates in increasing order.  Raises BudgetError,
-    before making any, past WORK_CAP or GRID_CAP."""
-    if any(w > WORK_CAP for w in itertools.accumulate(A**n for n in range(2, N + 1, 2))):
-        raise BudgetError(f"enumerating A={A}, N={N} passes the work cap of "
-                          f"{WORK_CAP} words; sample it instead")
+    before making any, past GRID_CAP, the int64 bound or WORK_CAP."""
+    # The grid cap bounds A^2, and the int64 bound A^N, so the candidate
+    # counts are cheap to form and exact.
     check_grid(A, N)
     _check_feasible(A, N)
-    ranges = []
-    for n in range(2, N + 1, 2):
-        total = int(_candidate_ends(A, n)[-1])
-        ranges += [(n, lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    return ranges
+    lengths = range(2, N + 1, 2)
+    totals = [int(_candidate_ends(A, n)[-1]) for n in lengths]
+    if sum(totals) > WORK_CAP:
+        raise BudgetError(f"enumerating A={A}, N={N} passes the work cap of "
+                          f"{WORK_CAP} Lyndon candidates; sample it instead")
+    return [(n, lo, min(lo + _CHUNK, total))
+            for n, total in zip(lengths, totals) for lo in range(0, total, _CHUNK)]
 
 
 def _candidates(ranges):
@@ -292,8 +374,8 @@ def _worker(args):
 
 
 def _count_worker(args):
-    """Necklaces among one shard's candidates: its Lyndon keys alone."""
-    return sum(keys.size for keys in _lyndon_keys(*args))
+    """Necklaces among one shard's candidates: its Lyndon masks alone."""
+    return sum(_lyndon_blocks(*args, values=False))
 
 
 def _map_in_order(worker, jobs, threads, serial_s):
@@ -390,7 +472,8 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
     """
     # _accumulate_block keys a word by its int64 (psi, lw) grid cell.
     if grid_cells(A, N) >= 1 << 63:
-        raise ValueError(f"the (psi, lw) grid of A={A}, N={N} overflows int64")
+        raise BudgetError(f"the (psi, lw) grid of A={A}, N={N} passes the int64 cap "
+                          f"of 2^63 cells")
     lengths = range(2, N + 1, 2)
     weights = [necklace.count_Pn(A, n) for n in lengths]
     bounds = list(itertools.accumulate(weights))
@@ -402,6 +485,7 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
     acc = JointCounts(A, N, hist)
     for i, n in enumerate(lengths):
         need = draws[i]
+        signs = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
         # Share of [A]^n that is kept: n/2 words of each necklace.
         kept = weights[i] * (n // 2) / A**n
         while need:
@@ -409,6 +493,10 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
             block = words.integers(1, A, size=(size, n), endpoint=True, dtype=dtype)
             block = block[_aperiodic(block)][:need]
             if len(block):
-                _accumulate_block(acc, n, block, _geodesic_lengths(A, block), check_rate)
+                wide = block.astype(np.int64)
+                lg = _geodesic_lengths(A, block)
+                _accumulate_block(acc, n, wide @ signs, 2 * wide.sum(axis=1), lg)
+                if check_rate:
+                    _check_lengths(acc, block[::check_rate], lg[::check_rate])
                 need -= len(block)
     return acc

@@ -148,8 +148,12 @@ def fibonacci(k):
 
 
 DEFAULT_WORD_BUDGET = 50_000_000
-# Entries in ck_constant's suffix table, and in each block it evaluates.
+# Entries in ck_constant's suffix table, and in each block of values it
+# folds into products.
 _TABLE = 1 << 20
+_BLOCK = 1 << 15
+# Bound on the bit length of each product: far inside float64's range.
+_PRODUCT_BITS = 256
 
 
 def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
@@ -162,13 +166,15 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
     all suffixes of the last m digits, built level by level as
     x -> a + 1/x from x = a_k (or a_k + 1/tail), with m the largest depth
     whose A^m entries fit in 2^20.
-    The exact int64 continuants (h, h', q, q') of each of the A^(k-m)
-    prefixes give the word's value (h x + h') / (q x + q'), and each block
-    of prefixes adds the pairwise sum of its logs over the table; the
-    partials are combined with fsum.  The table and each block hold at
-    most 2^20 floats whatever A^k is (an A above 2^20 takes its last
-    digit in blocks of 2^20), and there are fewer than A * A^k / 2^20
-    prefixes; budget still caps the A^k words evaluated.
+    The exact continuants (h, h', q, q') of each of the A^(k-m) prefixes
+    give the word's value (h x + h') / (q x + q').  The table is taken in
+    blocks of 2^15 entries, and over each block the values of up to
+    `group` prefixes are multiplied cell by cell before one log per cell:
+    a value lies in [1, A + 1], so a product stays below 2^256.  Each
+    block of products adds the pairwise sum of its logs, and the partials
+    are combined with fsum.  The table holds at most 2^20 floats and each
+    block of products 2^15, whatever A^k is (an A above 2^20 takes its
+    last digit in tables of 2^20); budget caps the A^k words evaluated.
     """
     if A <= 1:
         raise ValueError("A must exceed 1")
@@ -188,6 +194,9 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
     for _ in range(k - m):
         h, h_prev = (h[:, None] * digits + h_prev[:, None]).ravel(), np.repeat(h, A)
         q, q_prev = (q[:, None] * digits + q_prev[:, None]).ravel(), np.repeat(q, A)
+    # Below 2^53 under the word budget, so exact in float64.
+    h, h_prev, q, q_prev = (v.astype(np.float64)[:, None] for v in (h, h_prev, q, q_prev))
+    group = max(1, _PRODUCT_BITS // (A + 1).bit_length())
     partials = []
     for lo in range(1, A + 1, _TABLE):
         x = np.arange(lo, min(lo + _TABLE, A + 1), dtype=np.float64)
@@ -195,12 +204,23 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
             x += 1.0 / tail
         for _ in range(m - 1):
             x = (digits[:, None] + 1.0 / x).ravel()
-        rows = max(1, _TABLE // x.size)
-        for i in range(0, h.size, rows):
-            s = slice(i, i + rows)
-            num = h[s, None] * x + h_prev[s, None]
-            num /= q[s, None] * x + q_prev[s, None]
-            partials.append(float(np.sum(np.log(num, out=num))))
+        for j in range(0, x.size, _BLOCK):
+            xs = x[j:j + _BLOCK]
+            # A step multiplies in the values of `rows` prefixes, so that
+            # a block of products holds about 2^15 cells; a block takes
+            # up to `group` steps before its logs are summed.
+            rows = max(1, _BLOCK // xs.size)
+            for i in range(0, len(h), rows * group):
+                prod = None
+                for r in range(i, min(i + rows * group, len(h)), rows):
+                    s = slice(r, r + rows)
+                    val = h[s] * xs + h_prev[s]
+                    val /= q[s] * xs + q_prev[s]
+                    if prod is None:
+                        prod = val
+                    else:
+                        prod[:len(val)] *= val
+                partials.append(float(np.sum(np.log(prod, out=prod))))
     return 2.0 * math.fsum(partials) / total
 
 
@@ -276,14 +296,18 @@ def chat_estimate(A, tol, budget=DEFAULT_WORD_BUDGET):
 # Float rounding of ck_constant, relative to 1 + c (u = 2^-53).  The table
 # entries x -> a + 1/x stay within 4u of exact: an error e in x becomes
 # (e + u)/(x_prev x) + u <= (e + u)/2 + u, and the first entry a + 1/tail
-# starts within 4u.  Under the word budget the int64 continuants stay below
+# starts within 4u.  Under the word budget the continuants stay below
 # 2^53, so they are exact in float64, and a word's value
-# (h x + h')/(q x + q') is within 14u and its np.log (within 4 ulp) within
-# 14u + 8u log(value).  Each block sums at most 2^20 logs, all >= 0, which
-# in any order errs by at most 2^20 u times their sum; fsum and the final
-# 2/A^k add 3u.  The mean is thus within about 2^-33 (1 + c) of its exact
-# value; the pad is twice that, which also covers rounding lo - pad and
-# hi + pad to the nearest float.
+# (h x + h')/(q x + q') is within 14u.  A product of g values, with one
+# more rounding per multiplication, is within 15g u, and its np.log
+# (within 4 ulp) within 15g u + 8u log(product): 15u + 8u log(value) per
+# word.  Each block of products sums at most 2^15 logs, all >= 0, which in
+# any order errs by at most 2^15 u times their sum; fsum and the final
+# 2/A^k add 3u.  The mean is thus within about 2^-38 (1 + c) of its exact
+# value.  The pad covers that 64 times over, and also the rounding of
+# lo - pad and hi + pad to the nearest float; it keeps the value it had
+# when each block summed 2^20 logs (a bound of 2^-33 (1 + c)), so that the
+# intervals, and the sigma^2 taken from them, do not move.
 _ROUNDING = 2.0**-32
 
 

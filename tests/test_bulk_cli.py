@@ -1,3 +1,4 @@
+import bisect
 import concurrent.futures
 import contextlib
 import functools
@@ -134,9 +135,11 @@ class TestBulk:
             bulk.run(100, 12)
         with pytest.raises(BudgetError):
             bulk.shard_ranges(100, 12)
-        # The pricing of run and count at the grid and work caps.
-        for accepted, refused in (((1448, 2), (1449, 2)), ((5, 12), (5, 14)),
-                                  ((2, 28), (2, 30))):
+        # The pricing of run and count at the grid and work caps: 1.05e9
+        # Lyndon candidates at A = 5, N = 14 and 3.7e8 at A = 2, N = 30
+        # are under the cap, 2.3e10 and 1.5e9 two period lengths on are not.
+        for accepted, refused in (((1448, 2), (1449, 2)), ((5, 14), (5, 16)),
+                                  ((2, 30), (2, 32))):
             assert bulk.shard_ranges(*accepted)
             with pytest.raises(BudgetError, match="cap"):
                 bulk.shard_ranges(*refused)
@@ -162,17 +165,17 @@ class TestBulk:
 
     def test_pool_only_for_enough_work(self, pool_starts, monkeypatch):
         monkeypatch.setattr(bulk.os, "sched_getaffinity", lambda pid: {0, 1})
-        # 1.1e7 candidates at 7 ns and 2 364 at 200 ns: less than a pool costs.
+        # 1.1e7 candidates at 4 ns and 2 364 at 50 ns: less than a pool costs.
         assert bulk.count(9, 8, threads=2) == necklace.pi_exact(9, 8)
         bulk.run(3, 8, threads=2)
         assert pool_starts == []
-        # 2.3e6 candidates at 200 ns: about 0.45 s of serial work.
+        # 2.3e6 candidates at 50 ns: about 0.12 s of serial work.
         bulk.run(5, 10, threads=2)
         assert pool_starts == [2]
 
 
 def _lyndon_keys_by_division(A, n, lo, hi):
-    """The division kernel _lyndon_keys replaced: each candidate is
+    """The division kernel the box kernels replaced: each candidate is
     unpacked from its index, and each rotation taken, by int64 divmods."""
     m = n // 2
     Q = A * A
@@ -194,12 +197,14 @@ def _lyndon_keys_by_division(A, n, lo, hi):
 
 
 def assert_same_blocks(A, n, lo, hi):
-    fast = list(bulk._lyndon_keys(A, n, lo, hi))
+    fast = [keys for keys, *_ in bulk._lyndon_blocks(A, n, lo, hi)]
+    sizes = list(bulk._lyndon_blocks(A, n, lo, hi, values=False))
     slow = list(_lyndon_keys_by_division(A, n, lo, hi))
-    assert len(fast) == len(slow)
-    for got, want in zip(fast, slow):
+    assert len(fast) == len(sizes) == len(slow)
+    for got, size, want in zip(fast, sizes, slow):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+        assert size == want.size
 
 
 class TestLyndonKeys:
@@ -237,6 +242,186 @@ class TestLyndonKeys:
         assert_same_blocks(A, n, total - 10_000, total)
 
 
+# The path the box kernel replaced, kept as its oracle: Lyndon keys by
+# broadcasting over first-pair boxes, their digits decoded one position
+# at a time, the trace by one int64 matrix step per digit, and psi and
+# lw from the digits as _accumulate_block formed them.
+
+def _lyndon_keys_by_boxes(A, n, lo, hi):
+    """Keys of the Lyndon pair-words among candidates lo..hi-1 of period
+    length n, one array per block of bulk._BLOCK candidates from lo.
+
+    Every value formed is a partial sum of p_i Q^e_i - p_i Q^f_i over
+    distinct e_i and distinct f_i, so it lies in (-A^n, A^n), inside
+    int64 under _check_feasible's bound.
+    """
+    m = n // 2
+    Q = A * A
+    if m == 1:
+        # A lone pair is its own key and its only rotation.
+        for start in range(lo, hi, bulk._BLOCK):
+            yield np.arange(start, min(start + bulk._BLOCK, hi), dtype=np.int64)
+        return
+    ends = bulk._candidate_ends(A, n).tolist()
+    # Column 0 holds pair i's weight in the key, column s its weight in
+    # key - rot_s, where rot_s is the rotation by s pairs.
+    weight = Q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    coef = np.stack([weight] + [weight - np.roll(weight, s) for s in range(1, m)], axis=1)
+    c = None
+    for start in range(lo, hi, bulk._BLOCK):
+        stop = min(start + bulk._BLOCK, hi)
+        parts = []
+        pos = start
+        while pos < stop:
+            if c is None or pos >= ends[c]:
+                c = bisect.bisect_right(ends, pos)
+                b = Q - c
+                # The widest box that fits in a block, but at least one
+                # pair wide, so that no candidate index is divided.
+                t = 1
+                while t < m - 1 and b ** (t + 1) <= bulk._BLOCK:
+                    t += 1
+                box = b**t
+                first = ends[c] - b ** (m - 1)
+                # Row s of trail: form s's trailing part at each index of a box.
+                pairs = np.arange(c, Q, dtype=np.int64)
+                trail = np.zeros((m, 1), dtype=np.int64)
+                for i in range(m - t, m):
+                    trail = (trail[:, :, None] + coef[i, :, None, None] * pairs).reshape(m, -1)
+            end = min(stop, ends[c])
+            k0, a = divmod(pos - first, box)
+            k1, z = divmod(end - 1 - first, box)
+            # Row per box, column 0: the key's leading part; column s:
+            # minus that of key - rot_s, so keep where trail[s] < lead[:, s].
+            lead = c * coef[0] + np.zeros((k1 + 1 - k0, 1), dtype=np.int64)
+            rest = np.arange(k0, k1 + 1, dtype=np.int64)
+            for i in range(m - 1 - t, 0, -1):
+                rest, pair = np.divmod(rest, b)
+                lead += (pair[:, None] + c) * coef[i]
+            lead[:, 1:] *= -1
+            # Whole rows of boxes k0..k1, cropped to pos..end-1 after the
+            # mask; a block within one box takes only its own columns.
+            u, v = (a, z + 1) if k0 == k1 else (0, box)
+            key = (lead[:, :1] + trail[0, u:v]).ravel()
+            keep = trail[1, u:v] < lead[:, 1:2]
+            for s in range(2, m):
+                keep &= trail[s, u:v] < lead[:, s:s + 1]
+            span = slice(a - u, a - u + end - pos)
+            parts.append(key[span][keep.ravel()[span]])
+            pos = end
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _digits_of_keys(A, n, keys):
+    """Digit array of shape (len(keys), n) in the smallest dtype holding A."""
+    digits = np.empty((keys.size, n), dtype=np.min_scalar_type(A))
+    for i in range(n):
+        digits[:, i] = keys // A ** (n - 1 - i) % A + 1
+    return digits
+
+
+def _lengths_of_digits(A, digits):
+    """Float64 geometric lengths 2*log(lambda) of the words' matrices.
+
+    While (A+1)^n < 2^62 the trace t is exact in int64.  Past that bound
+    the entries are float64, and after every step all four are divided
+    by the power of two that brings the top-left entry, the largest, into
+    [1/2, 1); the exponents are summed, so neither the trace nor its
+    square is ever formed.
+    """
+    count, n = digits.shape
+    if n * math.log2(A + 1) < bulk._ENTRY_BITS:
+        a = np.ones(count, dtype=np.int64)
+        b = np.zeros(count, dtype=np.int64)
+        c = np.zeros(count, dtype=np.int64)
+        d = np.ones(count, dtype=np.int64)
+        for i in range(n):
+            w = digits[:, i].astype(np.int64)
+            a, b = a * w + b, a
+            c, d = c * w + d, c
+        t = (a + d).astype(np.float64)
+        return 2.0 * np.log((t + np.sqrt(t * t - 4.0)) / 2.0)
+    a = np.ones(count)
+    b = np.zeros(count)
+    c = np.zeros(count)
+    d = np.ones(count)
+    exp = np.zeros(count, dtype=np.int64)
+    for i in range(n):
+        w = digits[:, i]
+        a, b = a * w + b, a
+        c, d = c * w + d, c
+        _, k = np.frexp(a)
+        a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
+        exp += k
+    # lambda = T (1 + sqrt(1 - r^2)) / 2 with T = t 2^exp and r = 2 / T;
+    # r underflows only where r^2 is far below rounding.
+    t = a + d
+    r = np.ldexp(2.0 / t, -exp)
+    return 2.0 * (np.log(t) + (exp - 1) * math.log(2.0) + np.log1p(np.sqrt(1.0 - r * r)))
+
+
+def _invariants_by_digits(A, n, lo, hi):
+    """(keys, psi, lw, lg) per block of the old path."""
+    signs = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
+    for keys in _lyndon_keys_by_boxes(A, n, lo, hi):
+        digits = _digits_of_keys(A, n, keys)
+        wide = digits.astype(np.int64)
+        yield keys, wide @ signs, 2 * wide.sum(axis=1), _lengths_of_digits(A, digits)
+
+
+def assert_same_invariants(A, n, lo, hi):
+    fast = list(bulk._lyndon_blocks(A, n, lo, hi))
+    slow = list(_invariants_by_digits(A, n, lo, hi))
+    assert len(fast) == len(slow)
+    for (keys, psi, lw, trace), want in zip(fast, slow):
+        for got, expected in zip((keys, psi, lw, bulk._trace_lengths(trace)), want):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
+class TestBoxKernel:
+    @pytest.mark.parametrize("A, N", [(2, 12), (3, 10), (4, 8), (5, 8), (9, 6)])
+    def test_every_shard(self, A, N):
+        for r in bulk.shard_ranges(A, N):
+            assert_same_invariants(A, *r)
+        assert bulk.count(A, N) == necklace.pi_exact(A, N)
+
+    @pytest.mark.parametrize("block", [3, 7])
+    def test_blocks_straddle_boxes(self, block, monkeypatch):
+        monkeypatch.setattr(bulk, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for A, N in ((2, 12), (3, 8), (4, 6), (5, 6)):
+            for n in range(2, N + 1, 2):
+                total = int(bulk._candidate_ends(A, n)[-1])
+                for _ in range(5):
+                    lo, hi = sorted(rng.integers(0, total + 1, size=2).tolist())
+                    assert_same_invariants(A, n, lo, hi)
+
+    @pytest.mark.parametrize("A, n", [(2, 38), (9, 18), (300, 4)])
+    def test_top_of_largest_feasible_n(self, A, n):
+        # The largest traces int64 holds, and boxes one pair wide at A = 300.
+        bulk._check_feasible(A, n)
+        total = int(bulk._candidate_ends(A, n)[-1])
+        assert_same_invariants(A, n, total - 10_000, total)
+
+    @pytest.mark.parametrize("A, N, rate", [(4, 8, 16), (5, 8, 1024)])
+    def test_checks_unchanged(self, A, N, rate):
+        # The same rows are checked, against the same float64 lengths.
+        count, worst = 0, 0.0
+        for r in bulk.shard_ranges(A, N):
+            for keys, psi, lw, lg in _invariants_by_digits(A, *r):
+                digits = _digits_of_keys(A, r[0], keys)
+                for i in range(0, len(digits), rate):
+                    word = tuple(int(v) for v in digits[i])
+                    logsum = invariants.geodesic_length_logsum(word)
+                    eigen = invariants.geodesic_length_eigen(word)
+                    count += 1
+                    worst = max(worst, abs(logsum - eigen) / eigen, abs(lg[i] - eigen) / eigen)
+        acc = bulk.run(A, N, check_rate=rate)
+        assert (acc.check_count, acc.check_max_rel) == (count, worst)
+        assert acc.check_count >= acc.total_count() // rate
+
+
 class TestCount:
     @pytest.mark.parametrize("A, N", [(2, 8), (3, 8), (4, 10), (30, 4), (300, 2)])
     def test_matches_run_and_pi_exact(self, A, N):
@@ -262,7 +447,8 @@ class TestCount:
         def forbidden(*args, **kwargs):
             raise AssertionError("count must stop at the Lyndon keys")
 
-        for name in ("run_shard", "_digits", "_geodesic_lengths", "_accumulate_block"):
+        for name in ("run_shard", "_digits", "_geodesic_lengths", "_trace_lengths",
+                     "_accumulate_block", "_check_lengths"):
             monkeypatch.setattr(bulk, name, forbidden)
         monkeypatch.setattr(bulk, "_CHUNK", 50)
         assert bulk.count(3, 8) == necklace.pi_exact(3, 8)
@@ -527,18 +713,20 @@ class TestCliExitCodes:
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000"], 4),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000",
           "--sample", "10"], 4),
-        (["dist", "--A", str(2**32), "--N", "2", "--norm", "period", "--sample", "5"], 2),
+        (["dist", "--A", str(2**32), "--N", "2", "--norm", "period", "--sample", "5"], 4),
         (["count", "--A", "3", "--N", "4", "--threads", "0"], 2),
         (["count", "--A", "3", "--N", "4", "--threads", "-2"], 2),
         (["count", "--A", "2", "--N", "2000"], 4),
         (["count", "--A", "5", "--N", "500"], 4),
         # the accepted sides of the grid and work caps
         (["count", "--A", "1448", "--N", "2", "--exact"], 0),
-        (["count", "--A", "2", "--N", "28", "--exact"], 0),
+        (["count", "--A", "2", "--N", "30", "--exact"], 0),
         # past the int64 range of the exact table, and the work cap
         (["dist", "--A", "3", "--N", "40", "--norm", "period"], 4),
         (["charfn", "--A", "2", "--N", "62", "--t", "1"], 4),
         (["dist", "--A", "5", "--N", "40", "--norm", "geom"], 4),
+        # the sampled route's int64 grid, which every A > 2^30 passes at N = 2
+        (["dist", "--A", "2147483648", "--N", "2", "--norm", "period", "--sample", "10"], 4),
     ])
     def test_invalid_input(self, argv, expected, tmp_path):
         proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
@@ -550,10 +738,10 @@ class TestCliExitCodes:
         ["charfn", "--A", "3", "--N", "80000", "--t", "1"],
         # the refused sides of the grid and work caps
         ["count", "--A", "1449", "--N", "2", "--exact"],
-        ["count", "--A", "2", "--N", "30", "--exact"],
+        ["count", "--A", "2", "--N", "32", "--exact"],
         ["dist", "--A", "1449", "--N", "2", "--norm", "geom"],
-        ["dist", "--A", "5", "--N", "14", "--norm", "geom"],
-        ["verify", "--A", "2", "--N", "30"],
+        ["dist", "--A", "5", "--N", "16", "--norm", "geom"],
+        ["verify", "--A", "2", "--N", "32"],
     ])
     def test_work_cap_stops_early(self, argv, capsys, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -561,7 +749,7 @@ class TestCliExitCodes:
 
         # Each refusal comes before any enumeration, scan or c-hat, and
         # writes nothing.
-        for module, name in ((bulk, "_lyndon_keys"), (verify, "_all_words"),
+        for module, name in ((bulk, "_lyndon_blocks"), (verify, "_all_words"),
                              (invariants, "chat_two_tail")):
             monkeypatch.setattr(module, name, forbidden)
         monkeypatch.chdir(tmp_path)
@@ -595,13 +783,14 @@ class TestCliExitCodes:
         assert "!= pi_exact 7" in proc.stderr
 
     def test_dropped_key_is_verify_failure(self, tmp_path):
-        # negative control: enumeration losing the necklace of key 1,
-        # digits (1, 2), must fail the check against pi_exact
+        # negative control: enumeration losing one necklace of period
+        # length 2 (its 9 candidates are one block) must fail the check
+        # against pi_exact
         code = ("import sys\n"
                 "from modwind import bulk, cli\n"
-                "real = bulk._lyndon_keys\n"
-                "bulk._lyndon_keys = lambda A, n, lo, hi: (\n"
-                "    keys[keys != 1] if n == 2 else keys for keys in real(A, n, lo, hi))\n"
+                "real = bulk._lyndon_blocks\n"
+                "bulk._lyndon_blocks = lambda A, n, lo, hi, values=True: (\n"
+                "    kept - (n == 2) for kept in real(A, n, lo, hi, values))\n"
                 "sys.exit(cli.main(['count', '--A', '3', '--N', '4', '--exact']))\n")
         proc = run_python("-c", code, cwd=tmp_path)
         assert proc.returncode == 1, proc.stderr
@@ -717,9 +906,13 @@ class TestCliVerify:
     def test_detects_dropped_key(self, capsys, monkeypatch):
         # negative control: enumeration losing the necklaces of key 1,
         # digits (1, 2) and (1, 1, 1, 2), must be caught
-        real = bulk._lyndon_keys
-        monkeypatch.setattr(bulk, "_lyndon_keys",
-                            lambda *args: (keys[keys != 1] for keys in real(*args)))
+        real = bulk._lyndon_blocks
+
+        def dropping(A, n, lo, hi, values=True):
+            for block in real(A, n, lo, hi, values):
+                yield tuple(v[block[0] != 1] for v in block) if values else block
+
+        monkeypatch.setattr(bulk, "_lyndon_blocks", dropping)
         code, out, err = run_cli(capsys, "verify", "--A", "2", "--N", "6")
         assert code == 1
         assert json.loads(out)["passed"] is False

@@ -164,8 +164,9 @@ class TestFibonacci:
         ]
 
 
-def _ck_continuants(A, k, budget=invariants.DEFAULT_WORD_BUDGET):
-    """Per-word c_k: the exact int64 continuants of every word, in chunks."""
+def _ck_continuants(A, k, budget=invariants.DEFAULT_WORD_BUDGET, tail=None):
+    """Per-word c_k: the exact int64 continuants of every word, in chunks,
+    and one log per word."""
     if A <= 1:
         raise ValueError("A must exceed 1")
     if k < 1:
@@ -184,7 +185,10 @@ def _ck_continuants(A, k, budget=invariants.DEFAULT_WORD_BUDGET):
             digit = (idx // A ** (k - 1 - i)) % A + 1
             h, h_prev = digit * h + h_prev, h
             q, q_prev = digit * q + q_prev, q
-        logs = np.log(h.astype(np.float64)) - np.log(q.astype(np.float64))
+        if tail is None:
+            logs = np.log(h.astype(np.float64)) - np.log(q.astype(np.float64))
+        else:
+            logs = np.log((h * tail + h_prev) / (q * tail + q_prev))
         partials.append(float(np.sum(logs)))
     return 2.0 * math.fsum(partials) / total
 
@@ -221,6 +225,23 @@ class TestCkConstant:
         # A > 2^20 takes the last digit in blocks; c_1 = 2 log(A!) / A.
         A = (1 << 20) + 5
         assert ck_constant(A, 1) == pytest.approx(2 * math.lgamma(A + 1) / A, rel=1e-13)
+        # With a tail t, c_1 = (2 / A) sum of log(a + 1/t).
+        exact = 2 * math.fsum(np.log(np.arange(1, A + 1) + 0.5).tolist()) / A
+        assert ck_constant(A, 1, tail=2.0) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("table, block, bits", [(8, 64, 9), (40, 7, 9), (3, 2, 3)])
+    @pytest.mark.parametrize("A, k", [(2, 9), (5, 4), (7, 3)])
+    @pytest.mark.parametrize("tail", [None, 1.25, 4.0])
+    def test_ragged_blocks_and_groups(self, table, block, bits, A, k, tail, monkeypatch):
+        # Small tables, blocks and products, so that the words split
+        # unevenly: the last table (A > table), the last block of a
+        # table and the last group of prefixes are short, and a step of
+        # several prefixes (block > table) ends early.
+        monkeypatch.setattr(invariants, "_TABLE", table)
+        monkeypatch.setattr(invariants, "_BLOCK", block)
+        monkeypatch.setattr(invariants, "_PRODUCT_BITS", bits)
+        assert ck_constant(A, k, tail=tail) == pytest.approx(
+            _ck_continuants(A, k, tail=tail), rel=1e-13)
 
     def test_budget(self):
         with pytest.raises(BudgetError):

@@ -14,6 +14,8 @@ TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 @pytest.mark.parametrize("argv", [
     ["count", "--A", "2", "--N", "4", "--exact"],
     ["dist", "--A", "2", "--N", "4", "--norm", "period"],
+    ["dist", "--A", "2", "--N", "4", "--norm", "geom"],
+    ["constants", "--A", "2", "--tol", "1e-2"],
 ])
 def test_traced_call(argv, tmp_path):
     # perfbench/tracer.py wraps modwind functions it looks up by name, so
@@ -28,3 +30,9 @@ def test_traced_call(argv, tmp_path):
     names = [rec[1] for path in glob.glob(prefix + ".*.jsonl")
              for rec in map(json.loads, open(path)) if isinstance(rec, list)]
     assert "cli.main" in names
+    # The spans of the per-word kernels: enumeration shards, and c_k for
+    # the two-tail interval of geom and the estimate of constants.
+    if "geom" in argv:
+        assert {"bulk.run", "bulk.run_shard", "invariants.ck_constant"} <= set(names)
+    if argv[0] == "constants":
+        assert {"invariants.chat_estimate", "invariants.ck_constant"} <= set(names)
