@@ -74,6 +74,11 @@ _BLOCK = 1 << 15
 _COUNT_S = 4e-9
 _RUN_S = 50e-9
 _POOL_START_S = 0.05
+# Serial seconds of `sample` per draw and per digit of period length N,
+# measured on the same machine; the digit rate is the float64 trace's,
+# the slower of the two traces.
+_DRAW_S = 1e-6
+_DIGIT_S = 50e-9
 
 
 def _check_feasible(A, N):
@@ -468,12 +473,17 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
     pi_exact(A, N), so it has probability |P_n| / pi_exact(A, N) for any
     N.  The draws of each n are uniform words on [A]^n, made in numpy
     blocks of at most _CHUNK digits, keeping the words whose pair-word is
-    aperiodic.  The result depends on the seed alone.
+    aperiodic.  The result depends on the seed alone.  Raises
+    BudgetError, before any draw, past the int64 grid or past the serial
+    time WORK_CAP allows enumeration.
     """
     # _accumulate_block keys a word by its int64 (psi, lw) grid cell.
     if grid_cells(A, N) >= 1 << 63:
         raise BudgetError(f"the (psi, lw) grid of A={A}, N={N} passes the int64 cap "
                           f"of 2^63 cells")
+    if count * (_DRAW_S + _DIGIT_S * N) > WORK_CAP * _RUN_S:
+        raise BudgetError(f"{count} draws at A={A}, N={N} pass the work cap of "
+                          f"{WORK_CAP * _RUN_S:.0f} s of serial sampling")
     lengths = range(2, N + 1, 2)
     weights = [necklace.count_Pn(A, n) for n in lengths]
     bounds = list(itertools.accumulate(weights))

@@ -1,10 +1,11 @@
-"""Exact arithmetic for finite and periodic continued fractions.
+"""Continued-fraction words, their integer matrices and fixed points.
 
 Words are tuples of positive integer partial quotients, with the
 convention w = a1 + 1/(a2 + 1/(... + 1/ak)), so every value is >= 1.
-An even-length word corresponds to a hyperbolic matrix of determinant 1
-whose larger fixed point is the purely periodic quadratic irrational
-with that word as periodic part.
+A word's matrix is the product of its digit matrices (a 1; 1 0).  An
+even-length word gives a hyperbolic matrix of determinant 1 whose larger
+fixed point, an exact quadratic surd, is the purely periodic continued
+fraction with that word as period.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ def as_word(digits, bound=None):
         if bound is not None and d > bound:
             raise ValueError(f"partial quotient {d} exceeds bound {bound}")
     return word
-
-
-def _require_even(word):
-    if len(word) % 2 != 0:
-        raise ValueError(f"word length {len(word)} must be even")
 
 
 @dataclass(frozen=True)
@@ -105,59 +101,6 @@ class QuadraticSurd:
     def __hash__(self):
         return hash(self._key())
 
-    def _coerce(self, other):
-        if isinstance(other, QuadraticSurd):
-            if other.D != 0 and self.D != 0 and other.D != self.D:
-                # sqrt(D') = s sqrt(D) / D when D D' = s^2
-                s = math.isqrt(self.D * other.D)
-                if s * s != self.D * other.D:
-                    raise ValueError("mixed radicands")
-                return self, QuadraticSurd(other.p * self.D, other.r * s, self.D,
-                                           other.q * self.D)
-            return self, other
-        if isinstance(other, Fraction):
-            return self, QuadraticSurd(other.numerator, 0, 0, other.denominator)
-        if isinstance(other, int):
-            return self, QuadraticSurd(other, 0, 0, 1)
-        return self, NotImplemented
-
-    def __add__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        D = a.D or b.D
-        return QuadraticSurd(
-            a.p * b.q + b.p * a.q, a.r * b.q + b.r * a.q, D, a.q * b.q
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticSurd(-self.p, -self.r, self.D, self.q)
-
-    def __sub__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return a + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        D = a.D or b.D
-        return QuadraticSurd(
-            a.p * b.p + a.r * b.r * D, a.p * b.r + a.r * b.p, D, a.q * b.q
-        )
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return self.p == 0 and self.r == 0
-
     def to_mpf(self, precision=128):
         """Numerical value at the requested binary precision."""
         from mpmath import mp
@@ -188,34 +131,6 @@ def cf_eval_finite(word):
     return Fraction(m.a, m.c)
 
 
-def convergent(word, k):
-    """Value of the first k digits of the word."""
-    word = as_word(word)
-    if not 1 <= k <= len(word):
-        raise ValueError(f"convergent index {k} out of range 1..{len(word)}")
-    return cf_eval_finite(word[:k])
-
-
-def cf_expand(value):
-    """Continued fraction digits of a rational value >= 1.
-
-    The standard floor/invert algorithm; the final digit comes out >= 2
-    except for the single-digit expansion of 1 itself.
-    """
-    value = Fraction(value)
-    if value < 1:
-        raise ValueError("value must be >= 1")
-    digits = []
-    x = value
-    while True:
-        a = x.numerator // x.denominator
-        digits.append(a)
-        frac = x - a
-        if frac == 0:
-            return tuple(digits)
-        x = 1 / frac
-
-
 def fixed_points(m):
     """Both fixed points of a hyperbolic matrix, larger root first."""
     tr = m.trace
@@ -228,25 +143,6 @@ def fixed_points(m):
     plus = QuadraticSurd(ad, 1, disc, 2 * m.c)
     minus = QuadraticSurd(ad, -1, disc, 2 * m.c)
     return (plus, minus) if m.c > 0 else (minus, plus)
-
-
-def periodic_value(word, precision=128):
-    """Value of the purely periodic continued fraction with this period.
-
-    Computed from the exact fixed-point surd of the word's matrix, so the
-    only rounding is a single square root at the working precision.
-    """
-    word = as_word(word)
-    _require_even(word)
-    w, _ = fixed_points(matrix_of_word(word))
-    return w.to_mpf(precision)
-
-
-def gauss_shift(word, j):
-    """Cyclic left rotation by j digits (the Gauss map on periods)."""
-    word = as_word(word)
-    j %= len(word)
-    return word[j:] + word[:j]
 
 
 def eigenvalue_max(m, precision=128):

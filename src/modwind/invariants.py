@@ -43,7 +43,7 @@ def word_length(word):
 
 
 def _rotation_matrices(word):
-    """Matrices of the rotations gauss_shift(word, j) for j = 1, ..., n.
+    """Matrices of the rotations word[j:] + word[:j] for j = 1, ..., n.
 
     Rotating a off the front conjugates the matrix by M(a) = [[a, 1], [1, 0]]:
     M(a w') = M(a) M(w') gives M(w' a) = M(a)^-1 M(a w') M(a), with

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,21 +171,14 @@ def enumerate_necklaces(A, N):
     return out
 
 
-def sample_uniform(A, n, rng_seed):
-    """Uniform draw from the necklaces of period length exactly n.
-
-    Rejection sampling: a uniform word is primitive with overwhelming
-    probability, and each necklace has exactly n/2 word preimages, so
-    canonicalizing a uniform primitive word is uniform on necklaces.
-    """
-    _check_bound(A)
-    if n < 2 or n % 2 != 0:
-        raise ValueError("period length must be even and >= 2")
-    rng = random.Random(rng_seed)
-    return sample_uniform_rng(A, n, rng)
-
-
 def sample_uniform_rng(A, n, rng):
+    """Uniform draw, by the random.Random rng, from the necklaces of period
+    length exactly n.
+
+    Rejection sampling: each necklace has exactly n/2 primitive word
+    preimages, so canonicalizing a uniform primitive word is uniform on
+    necklaces.
+    """
     while True:
         word = tuple(rng.randint(1, A) for _ in range(n))
         if is_primitive(word):

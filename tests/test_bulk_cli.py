@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -495,6 +496,18 @@ class TestSample:
         monkeypatch.setattr(bulk, "_ENTRY_BITS", 0)
         assert np.allclose(bulk._geodesic_lengths(3, words), exact, rtol=1e-14, atol=0)
 
+    def test_refuses_past_work_cap(self, monkeypatch):
+        # Priced before the first draw, which needs bulk's random.Random.
+        def drawn(seed):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(bulk, "random", types.SimpleNamespace(Random=drawn))
+        limit = int(bulk.WORK_CAP * bulk._RUN_S / (bulk._DRAW_S + bulk._DIGIT_S * 14))
+        with pytest.raises(BudgetError, match="cap"):
+            bulk.sample(9, 14, limit + 1, seed=1)
+        with pytest.raises(AssertionError, match="drew"):
+            bulk.sample(9, 14, limit, seed=1)
+
     def test_seed_determinism(self):
         one = bulk.sample(5, 8, 5000, seed=3)
         two = bulk.sample(5, 8, 5000, seed=3)
@@ -742,6 +755,7 @@ class TestCliExitCodes:
         ["dist", "--A", "1449", "--N", "2", "--norm", "geom"],
         ["dist", "--A", "5", "--N", "16", "--norm", "geom"],
         ["verify", "--A", "2", "--N", "32"],
+        ["dist", "--A", "5", "--N", "8", "--norm", "period", "--sample", "1000000000000"],
     ])
     def test_work_cap_stops_early(self, argv, capsys, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,6 @@ from modwind.necklace import (
     mobius,
     pi_asymptotic,
     pi_exact,
-    sample_uniform,
 )
 
 
@@ -181,17 +181,15 @@ class TestEnumerate:
 
 class TestSampling:
     def test_support_and_determinism(self):
-        nk = sample_uniform(2, 2, rng_seed=7)
+        nk = necklace.sample_uniform_rng(2, 2, random.Random(7))
         assert nk.rep in {(1, 1), (1, 2), (2, 1), (2, 2)}
-        assert sample_uniform(2, 2, rng_seed=7) == nk
-        assert sample_uniform(5, 6, rng_seed=1).n == 6
+        assert necklace.sample_uniform_rng(2, 2, random.Random(7)) == nk
+        assert necklace.sample_uniform_rng(5, 6, random.Random(1)).n == 6
 
     def test_frequencies_uniform(self):
         # 6 necklaces at A=2, n=4; each within 5 sigma of 1/6
         draws = 120_000
         counts = {}
-        import random
-
         rng = random.Random(12345)
         for _ in range(draws):
             nk = necklace.sample_uniform_rng(2, 4, rng)

@@ -16,6 +16,7 @@ TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
     ["dist", "--A", "2", "--N", "4", "--norm", "period"],
     ["dist", "--A", "2", "--N", "4", "--norm", "geom"],
     ["constants", "--A", "2", "--tol", "1e-2"],
+    ["dist", "--A", "9", "--N", "14", "--norm", "period", "--sample", "1000", "--seed", "3"],
 ])
 def test_traced_call(argv, tmp_path):
     # perfbench/tracer.py wraps modwind functions it looks up by name, so
