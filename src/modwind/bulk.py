@@ -51,17 +51,13 @@ import numpy as np
 
 from . import invariants, necklace
 from .errors import BudgetError
-from .stats import JointCounts, merge
+from .stats import GRID_CAP, JointCounts, check_grid, grid_cells, merge
 
 # int64 matrix entries stay exact below this bound on (A+1)^n.
 _ENTRY_BITS = 62
 
-# Desk-scale limits: enumeration walks at most WORK_CAP Lyndon candidates
-# (about a minute of serial run at _RUN_S), and the (psi, lw) grid of the
-# longest period length, which holds all of its table cells, has at most
-# GRID_CAP cells.
+# Enumeration walks at most WORK_CAP Lyndon candidates, a minute of serial run at _RUN_S.
 WORK_CAP = 12 * 10**8
-GRID_CAP = 1 << 24
 
 # Candidates per shard, and digits per sampled block.
 _CHUNK = 1 << 20
@@ -85,18 +81,6 @@ def _check_feasible(A, N):
     if (N * math.log2(A + 1)) >= _ENTRY_BITS:
         raise BudgetError(f"enumerating A={A}, N={N} passes the int64 cap on its traces, "
                           f"(A+1)^N < 2^{_ENTRY_BITS}; sample it instead")
-
-
-def grid_cells(A, n):
-    """Cells of the dense (psi, lw) bincount grid at period length n."""
-    return ((A - 1) * n + 1) * (2 * A * n + 1)
-
-
-def check_grid(A, N):
-    """Raise BudgetError when the (psi, lw) grid at N passes GRID_CAP."""
-    if grid_cells(A, N) > GRID_CAP:
-        raise BudgetError(f"the (psi, lw) grid of A={A}, N={N} passes the grid cap "
-                          f"of {GRID_CAP} cells")
 
 
 def _candidate_ends(A, n):
@@ -294,7 +278,9 @@ def _geodesic_lengths(A, digits):
 
 def _accumulate_block(acc, n, psi, lw, lg):
     """Fold a block of primitive words of period length n, given by their
-    int64 psi and lw and float64 lg, into the accumulator.
+    int64 psi and lw and float64 lg, into the accumulator's histogram and
+    sums; return the block's occupied (psi, lw) grid cells and their
+    counts, for _fold_cells to add to the table.
 
     Any word of a necklace will do: every invariant is constant on its
     class.
@@ -314,10 +300,6 @@ def _accumulate_block(acc, n, psi, lw, lg):
         counts = counts[cells]
     else:
         cells, counts = np.unique(comp - low, return_counts=True)
-    for i, k in zip(cells.tolist(), counts.tolist()):
-        p, w = divmod(i + low, lwmax + 1)
-        acc.table[(n, p - pmax, w)] += k
-
     row = acc._hist_row(n)
     x = psi / np.sqrt(lg)
     idx = np.floor((x - acc.hist.lo) / acc.hist.width).astype(np.int64)
@@ -325,6 +307,21 @@ def _accumulate_block(acc, n, psi, lw, lg):
     row += np.bincount(idx + 1, minlength=acc.hist.bins + 2)
     rg = lg / n
     acc.lg_sums[n] += (x.sum(), (x * x).sum(), rg.sum(), (rg * rg).sum())
+    return cells + low, counts
+
+
+def _fold_cells(acc, n, blocks):
+    """Add the (cells, counts) that _accumulate_block returned for blocks
+    of period length n to acc.table, one entry per distinct cell."""
+    if not blocks:
+        return
+    cells, where = np.unique(np.concatenate([c for c, _ in blocks]), return_inverse=True)
+    counts = np.zeros(cells.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([k for _, k in blocks]))
+    psi, lw = np.divmod(cells, 2 * acc.A * n + 1)
+    psi -= (acc.A - 1) * n // 2
+    keys = zip(itertools.repeat(n), psi.tolist(), lw.tolist())
+    acc.table.update(dict(zip(keys, counts.tolist())))
 
 
 def _check_lengths(acc, words, lg):
@@ -344,12 +341,14 @@ def run_shard(A, N, n, lo, hi, hist=None, check_rate=0):
     checked against the mpmath lengths."""
     _check_feasible(A, N)
     acc = JointCounts(A, N, hist)
+    blocks = []
     for keys, psi, lw, trace in _lyndon_blocks(A, n, lo, hi):
         if keys.size:
             lg = _trace_lengths(trace)
-            _accumulate_block(acc, n, psi, lw, lg)
+            blocks.append(_accumulate_block(acc, n, psi, lw, lg))
             if check_rate:
                 _check_lengths(acc, _digits(A, n, keys[::check_rate]), lg[::check_rate])
+    _fold_cells(acc, n, blocks)
     return acc
 
 
@@ -465,6 +464,18 @@ def _aperiodic(block):
     return keep
 
 
+def check_sample(A, N, count):
+    """Raise BudgetError when `count` draws of period length <= N pass the
+    int64 grid or the serial time WORK_CAP allows enumeration."""
+    # _accumulate_block keys a word by its int64 (psi, lw) grid cell.
+    if grid_cells(A, N) >= 1 << 63:
+        raise BudgetError(f"the (psi, lw) grid of A={A}, N={N} passes the int64 cap "
+                          f"of 2^63 cells")
+    if count * (_DRAW_S + _DIGIT_S * N) > WORK_CAP * _RUN_S:
+        raise BudgetError(f"{count} draws at A={A}, N={N} pass the work cap of "
+                          f"{WORK_CAP * _RUN_S:.0f} s of serial sampling")
+
+
 def sample(A, N, count, seed, hist=None, check_rate=0):
     """Accumulate `count` independent uniform draws from the necklaces of
     period length <= N.
@@ -473,17 +484,10 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
     pi_exact(A, N), so it has probability |P_n| / pi_exact(A, N) for any
     N.  The draws of each n are uniform words on [A]^n, made in numpy
     blocks of at most _CHUNK digits, keeping the words whose pair-word is
-    aperiodic.  The result depends on the seed alone.  Raises
-    BudgetError, before any draw, past the int64 grid or past the serial
-    time WORK_CAP allows enumeration.
+    aperiodic.  The result depends on the seed alone.  check_sample
+    prices the draws before the first.
     """
-    # _accumulate_block keys a word by its int64 (psi, lw) grid cell.
-    if grid_cells(A, N) >= 1 << 63:
-        raise BudgetError(f"the (psi, lw) grid of A={A}, N={N} passes the int64 cap "
-                          f"of 2^63 cells")
-    if count * (_DRAW_S + _DIGIT_S * N) > WORK_CAP * _RUN_S:
-        raise BudgetError(f"{count} draws at A={A}, N={N} pass the work cap of "
-                          f"{WORK_CAP * _RUN_S:.0f} s of serial sampling")
+    check_sample(A, N, count)
     lengths = range(2, N + 1, 2)
     weights = [necklace.count_Pn(A, n) for n in lengths]
     bounds = list(itertools.accumulate(weights))
@@ -505,7 +509,8 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
             if len(block):
                 wide = block.astype(np.int64)
                 lg = _geodesic_lengths(A, block)
-                _accumulate_block(acc, n, wide @ signs, 2 * wide.sum(axis=1), lg)
+                cells = _accumulate_block(acc, n, wide @ signs, 2 * wide.sum(axis=1), lg)
+                _fold_cells(acc, n, [cells])
                 if check_rate:
                     _check_lengths(acc, block[::check_rate], lg[::check_rate])
                 need -= len(block)

@@ -3,17 +3,20 @@
 Machine-readable JSON goes to stdout; progress lines go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O,
 4 resource budget exceeded: the module doing the work raises BudgetError
-before it starts, and main reports it.
+before it starts, and main reports it.  Each command imports the modules
+it calls when it runs: `count`, `--help` and usage errors load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
+from importlib import import_module
 
-from . import bulk, invariants, lattice, necklace, stats, svgplot, verify
+from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, necklace
 from .errors import BudgetError
 
 EXIT_OK = 0
@@ -23,10 +26,10 @@ EXIT_IO = 3
 EXIT_RESOURCE = 4
 
 NORM_SIGMA = {
-    stats.PERIOD: lambda A, tol: float(invariants.sigma_p2(A)),
-    stats.MAXN: lambda A, tol: float(invariants.sigma_p2(A)),
-    stats.WORD: lambda A, tol: float(invariants.sigma_w2(A)),
-    stats.GEOM: lambda A, tol: invariants.chat_two_tail(A, tol).sigma_g2,
+    PERIOD: lambda A, tol: float(import_module("modwind.invariants").sigma_p2(A)),
+    MAXN: lambda A, tol: float(import_module("modwind.invariants").sigma_p2(A)),
+    WORD: lambda A, tol: float(import_module("modwind.invariants").sigma_w2(A)),
+    GEOM: lambda A, tol: import_module("modwind.invariants").chat_two_tail(A, tol).sigma_g2,
 }
 
 
@@ -90,6 +93,7 @@ def _finite(value):
 def _exact_table(A, N):
     """Accumulator holding only the exact (n, psi, lw) table of A, N, built
     from digit-sum counts: all that period, maxn and word statistics read."""
+    from . import lattice, stats
     acc = stats.JointCounts(A, N)
     acc.table = lattice.table(A, N, progress=_progress)
     return acc
@@ -121,7 +125,7 @@ def build_parser():
 
     p = sub.add_parser("dist", help="empirical distribution vs Gaussian")
     common(p)
-    p.add_argument("--norm", choices=stats.NORMALIZATIONS, required=True)
+    p.add_argument("--norm", choices=NORMALIZATIONS, required=True)
     p.add_argument("--bins", type=_int_at_least(2), default=8192)
     threads(p)
     p.add_argument("--tol", type=_tolerance, default=1e-3,
@@ -140,7 +144,7 @@ def build_parser():
 
     p = sub.add_parser("charfn", help="empirical characteristic function")
     common(p)
-    p.add_argument("--norm", choices=[stats.PERIOD, stats.MAXN], default=stats.PERIOD)
+    p.add_argument("--norm", choices=[PERIOD, MAXN], default=PERIOD)
     p.add_argument("--t", type=_finite, action="append", required=True,
                    help="evaluation point (repeatable)")
     threads(p)
@@ -150,41 +154,58 @@ def build_parser():
     return parser
 
 
-def _emit(obj):
-    print(stats.dumps17(obj))
+def dumps17(obj, indent=0):
+    """JSON text with floats rendered to 17 significant digits."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        items = [f'{inner}{json.dumps(k)}: {dumps17(v, indent + 2)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        items = [f"{inner}{dumps17(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
+    return json.dumps(obj)
 
 
 def cmd_count(args):
     if args.exact:  # priced before the asymptotic count can overflow
+        from . import bulk
         total = bulk.count(args.A, args.N, threads=args.threads, progress=_progress)
     report = necklace.pi_asymptotic(args.A, args.N)
     if args.exact and total != report.exact:
         print(f"enumerated {total} != pi_exact {report.exact}", file=sys.stderr)
         return EXIT_VERIFY
-    _emit({
+    print(dumps17({
         "A": args.A,
         "N": args.N,
         "exact": report.exact,
         "asymptotic": report.asymptotic,
         "relative_error": report.relative_error,
         "method": "enumeration" if args.exact else "closed-form",
-    })
+    }))
     return EXIT_OK
 
 
 def cmd_dist(args):
+    from . import stats
     # One histogram row of bins + 2 cells per period length.
-    if args.N // 2 * (args.bins + 2) > bulk.GRID_CAP:
+    if args.N // 2 * (args.bins + 2) > stats.GRID_CAP:
         print("histogram exceeds the grid cap; use fewer --bins", file=sys.stderr)
         return EXIT_RESOURCE
     hist = stats.default_hist(args.A, args.bins)
-    if args.sample is None and args.norm == stats.GEOM:
-        bulk.shard_ranges(args.A, args.N)  # the enumeration's price, before ĉ's
-    # Before any sampling or enumeration: ĉ may be over its budget.
+    # The draws' or the enumeration's price, then ĉ's budget, before any work.
+    if args.sample is not None:
+        from . import bulk
+        bulk.check_sample(args.A, args.N, args.sample)
+    elif args.norm == GEOM:
+        from . import bulk
+        bulk.shard_ranges(args.A, args.N)
     sigma2 = NORM_SIGMA[args.norm](args.A, args.tol)
     if args.sample is not None:
         acc = bulk.sample(args.A, args.N, args.sample, args.seed, hist)
-    elif args.norm == stats.GEOM:
+    elif args.norm == GEOM:
         # Only geom reads the per-word l_g histograms.
         acc = bulk.run(args.A, args.N, hist=hist, threads=args.threads,
                        progress=_progress)
@@ -196,18 +217,20 @@ def cmd_dist(args):
         stats.write_table_csv(acc, os.path.join(args.out_dir, "table.csv"))
         stats.write_cdf_csv(report, os.path.join(args.out_dir, "cdf.csv"))
         with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
-            fh.write(stats.dumps17(stats.report_json(report, args.A, args.N)) + "\n")
+            fh.write(dumps17(stats.report_json(report, args.A, args.N)) + "\n")
         if args.svg:
+            from . import svgplot
             with open(os.path.join(args.out_dir, "dist.svg"), "w") as fh:
                 fh.write(svgplot.render(report.cdf_points, sigma2))
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    _emit(stats.report_json(report, args.A, args.N))
+    print(dumps17(stats.report_json(report, args.A, args.N)))
     return EXIT_OK
 
 
 def cmd_constants(args):
+    from . import invariants
     base = {
         "A": args.A,
         "sigma_p2": float(invariants.sigma_p2(args.A)),
@@ -230,17 +253,18 @@ def cmd_constants(args):
         "sigma_g2": est.sigma_g2,
         "sigma_g2_interval": [lo, hi],
     })
-    _emit(base)
+    print(dumps17(base))
     return code
 
 
 def cmd_charfn(args):
+    from . import invariants, stats
     sigma2 = float(invariants.sigma_p2(args.A))
     acc = _exact_table(args.A, args.N)
     t_admissible = math.sqrt(2.0 * math.log(args.A) * args.N) / math.sqrt(sigma2)
     rows = []
     for t in args.t:
-        if args.norm == stats.MAXN and abs(t) >= t_admissible:
+        if args.norm == MAXN and abs(t) >= t_admissible:
             print(f"warning: |t|={abs(t)} outside admissible range "
                   f"< {t_admissible:.4f}", file=sys.stderr)
         re, im = stats.empirical_char_fn(acc, args.norm, t)
@@ -252,17 +276,18 @@ def cmd_charfn(args):
             "target": target,
             "gap": abs(re - target),
         })
-    _emit({
+    print(dumps17({
         "A": args.A,
         "N": args.N,
         "normalization": args.norm,
         "sigma2": sigma2,
         "points": rows,
-    })
+    }))
     return EXIT_OK
 
 
 def cmd_verify(args):
+    from . import verify
     results = verify.run_suite(args.A, args.N)
     failed = False
     for name, failures in results:
@@ -271,12 +296,12 @@ def cmd_verify(args):
         for f in failures:
             failed = True
             print(f"  {f}", file=sys.stderr)
-    _emit({
+    print(dumps17({
         "A": args.A,
         "N": args.N,
         "checks": [{"name": n, "passed": not f} for n, f in results],
         "passed": not failed,
-    })
+    }))
     return EXIT_VERIFY if failed else EXIT_OK
 
 

@@ -17,16 +17,16 @@ from collections import Counter
 
 import numpy as np
 
-from .bulk import check_grid
 from .errors import BudgetError
 from .necklace import mobius
+from .stats import check_grid
 
 
 def table(A, N, progress=None):
     """Exact {(n, psi, lw): count} over the necklaces of period length <= N,
     the table `bulk.run(A, N).table` enumerates; progress(i, N // 2) after
     each period length.  Raises BudgetError, before building anything,
-    past bulk's grid cap or the int64 range."""
+    past the grid cap or the int64 range."""
     if A < 2 or N < 2 or N % 2:
         raise ValueError("need A >= 2 and even N >= 2")
     check_grid(A, N)

@@ -11,20 +11,29 @@ the KS distance is reported as an explicit error bound.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD  # noqa: F401  (re-exported)
+from .errors import BudgetError
 from .invariants import sigma_p2
 
-PERIOD = "period"
-MAXN = "maxn"
-WORD = "word"
-GEOM = "geom"
-NORMALIZATIONS = (PERIOD, MAXN, WORD, GEOM)
+GRID_CAP = 1 << 24
+
+
+def grid_cells(A, n):
+    """Cells of the dense (psi, lw) bincount grid at period length n."""
+    return ((A - 1) * n + 1) * (2 * A * n + 1)
+
+
+def check_grid(A, N):
+    """Raise BudgetError when the (psi, lw) grid at N, the widest, passes GRID_CAP."""
+    if grid_cells(A, N) > GRID_CAP:
+        raise BudgetError(f"the (psi, lw) grid of A={A}, N={N} passes the grid cap "
+                          f"of {GRID_CAP} cells")
 
 
 @dataclass(frozen=True)
@@ -287,29 +296,6 @@ def ratio_report(acc):
     return mean_g, var_g, mean_w, var_w
 
 
-def _fmt(x):
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return json.dumps(x)
-
-
-def dumps17(obj, indent=0):
-    """JSON text with floats rendered to 17 significant digits."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        items = [f'{inner}{json.dumps(k)}: {dumps17(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        items = [f"{inner}{dumps17(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _fmt(obj)
-
-
 def write_table_csv(acc, path):
     """Exact joint table: one row per nonzero cell, lexicographic order."""
     with open(path, "w") as fh:
@@ -319,10 +305,11 @@ def write_table_csv(acc, path):
 
 
 def write_cdf_csv(report, path):
+    """One row x, F_emp(x), F_gauss(x) per CDF point, all formatted in one pass."""
+    flat = [v for (x, f), g in zip(report.cdf_points, report.cdf_targets) for v in (x, f, g)]
     with open(path, "w") as fh:
         fh.write("x,F_emp,F_gauss\n")
-        fh.writelines(f"{x:.17g},{f:.17g},{g:.17g}\n"
-                      for (x, f), g in zip(report.cdf_points, report.cdf_targets))
+        fh.write("%.17g,%.17g,%.17g\n" * (len(flat) // 3) % tuple(flat))
 
 
 def report_json(report, A, N):

@@ -756,6 +756,9 @@ class TestCliExitCodes:
         ["dist", "--A", "5", "--N", "16", "--norm", "geom"],
         ["verify", "--A", "2", "--N", "32"],
         ["dist", "--A", "5", "--N", "8", "--norm", "period", "--sample", "1000000000000"],
+        # the draws are priced before a depth-11 c-hat
+        ["dist", "--A", "5", "--N", "8", "--norm", "geom", "--sample", "1000000000000",
+         "--tol", "6e-9"],
     ])
     def test_work_cap_stops_early(self, argv, capsys, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -861,6 +864,31 @@ class TestCliExitCodes:
                 "sys.exit(code)\n")
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv, expected, absent, present", [
+        (["count", "--A", "5", "--N", "12"], 0, ("numpy", "modwind.bulk", "modwind.verify"), ()),
+        (["--help"], 0, ("numpy", "modwind.bulk", "modwind.verify"), ()),
+        (["dist", "--A", "1", "--N", "8", "--norm", "period"], 2,
+         ("numpy", "modwind.bulk", "modwind.verify"), ()),
+        (["dist", "--A", "3", "--N", "4", "--norm", "period"], 0,
+         ("modwind.bulk", "modwind.svgplot", "modwind.verify"), ("numpy", "modwind.lattice")),
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--svg"], 0,
+         ("modwind.verify",), ("modwind.svgplot",)),
+    ], ids=["count", "help", "usage-error", "dist", "dist-svg"])
+    def test_loads_only_its_modules(self, argv, expected, absent, present, tmp_path):
+        # In a fresh interpreter: this one has imported every module.
+        code = ("import sys\n"
+                "from modwind import cli\n"
+                "try:\n"
+                f"    code = cli.main({argv!r})\n"
+                "except SystemExit as exc:\n"
+                "    code = exc.code\n"
+                f"assert not [m for m in {absent!r} if m in sys.modules], sorted(sys.modules)\n"
+                f"assert all(m in sys.modules for m in {present!r}), sorted(sys.modules)\n"
+                "sys.exit(code)\n")
+        proc = run_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == expected, proc.stderr
+        assert "AssertionError" not in proc.stderr
 
 
 class TestLargeAlphabet:

@@ -4,7 +4,7 @@ import math
 import pytest
 from mpmath import mp
 
-from modwind import bulk, invariants, necklace, stats, svgplot
+from modwind import bulk, cli, invariants, necklace, stats, svgplot
 from modwind.stats import (
     GEOM,
     MAXN,
@@ -230,13 +230,13 @@ class TestSerialization:
         assert header == "x,F_emp,F_gauss"
         assert len(rows) == len(rep.cdf_points)
         payload = stats.report_json(rep, 2, 4)
-        parsed = json.loads(stats.dumps17(payload))
+        parsed = json.loads(cli.dumps17(payload))
         assert parsed["count"] == 10
         assert parsed["normalization"] == "period"
         assert parsed["ks"] == pytest.approx(rep.ks)
 
     def test_dumps17_precision(self):
-        text = stats.dumps17({"x": 1 / 3})
+        text = cli.dumps17({"x": 1 / 3})
         assert "0.33333333333333331" in text
         assert json.loads(text)["x"] == 1 / 3
 
@@ -291,6 +291,8 @@ _ORACLE_ACCUMULATORS = {
     "two-bins": lambda: bulk.run(3, 8, hist=HistConfig(-2.0, 2.0, 2)),
     "sampled-two-bins": lambda: bulk.sample(4, 10, 300, 5, HistConfig(-2.0, 2.0, 2)),
     "under-and-overflow": lambda: bulk.run(4, 8, hist=HistConfig(-0.3, 0.2, 64)),
+    # the benchmark's geom operation: 8 193 rows of cdf.csv
+    "geom-operation": lambda: bulk.run(5, 8),
 }
 
 
