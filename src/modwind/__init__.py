@@ -1,10 +1,28 @@
 """Winding statistics of low-lying closed geodesics on the modular surface."""
 
+from fractions import Fraction
+
 __version__ = "0.1.0"
 
-# Normalizations of the winding number, named here for a numpy-free cli.
+# Normalizations of the winding number and the variances of the lattice
+# ones, defined here so that the cli and stats load neither numpy nor
+# invariants for them.
 PERIOD = "period"
 MAXN = "maxn"
 WORD = "word"
 GEOM = "geom"
 NORMALIZATIONS = (PERIOD, MAXN, WORD, GEOM)
+
+
+def sigma_p2(A):
+    """Variance (A^2 - 1) / 12 of the period-length normalization."""
+    if A <= 1:
+        raise ValueError("A must exceed 1")
+    return Fraction(A * A - 1, 12)
+
+
+def sigma_w2(A):
+    """Variance (A - 1) / 12 of the word-length normalization."""
+    if A <= 1:
+        raise ValueError("A must exceed 1")
+    return Fraction(A - 1, 12)

@@ -49,7 +49,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import invariants, necklace
+from . import necklace
 from .errors import BudgetError
 from .stats import GRID_CAP, JointCounts, check_grid, grid_cells, merge
 
@@ -327,6 +327,7 @@ def _fold_cells(acc, n, blocks):
 def _check_lengths(acc, words, lg):
     """Check the float64 lengths lg of the digit rows words against both
     mpmath oracles, and the oracles against each other."""
+    from . import invariants  # only checked runs need the oracles
     for word, length in zip(words.tolist(), lg.tolist()):
         logsum = invariants.geodesic_length_logsum(word)
         eigen = invariants.geodesic_length_eigen(word)

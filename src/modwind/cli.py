@@ -10,13 +10,14 @@ it calls when it runs: `count`, `--help` and usage errors load no numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 from importlib import import_module
 
-from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, necklace
+from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, necklace, sigma_p2, sigma_w2
 from .errors import BudgetError
 
 EXIT_OK = 0
@@ -26,9 +27,9 @@ EXIT_IO = 3
 EXIT_RESOURCE = 4
 
 NORM_SIGMA = {
-    PERIOD: lambda A, tol: float(import_module("modwind.invariants").sigma_p2(A)),
-    MAXN: lambda A, tol: float(import_module("modwind.invariants").sigma_p2(A)),
-    WORD: lambda A, tol: float(import_module("modwind.invariants").sigma_w2(A)),
+    PERIOD: lambda A, tol: float(sigma_p2(A)),
+    MAXN: lambda A, tol: float(sigma_p2(A)),
+    WORD: lambda A, tol: float(sigma_w2(A)),
     GEOM: lambda A, tol: import_module("modwind.invariants").chat_two_tail(A, tol).sigma_g2,
 }
 
@@ -233,8 +234,8 @@ def cmd_constants(args):
     from . import invariants
     base = {
         "A": args.A,
-        "sigma_p2": float(invariants.sigma_p2(args.A)),
-        "sigma_w2": float(invariants.sigma_w2(args.A)),
+        "sigma_p2": float(sigma_p2(args.A)),
+        "sigma_w2": float(sigma_w2(args.A)),
     }
     try:
         est = invariants.chat_estimate(args.A, args.tol)
@@ -258,8 +259,8 @@ def cmd_constants(args):
 
 
 def cmd_charfn(args):
-    from . import invariants, stats
-    sigma2 = float(invariants.sigma_p2(args.A))
+    from . import stats
+    sigma2 = float(sigma_p2(args.A))
     acc = _exact_table(args.A, args.N)
     t_admissible = math.sqrt(2.0 * math.log(args.A) * args.N) / math.sqrt(sigma2)
     rows = []
@@ -267,7 +268,11 @@ def cmd_charfn(args):
         if args.norm == MAXN and abs(t) >= t_admissible:
             print(f"warning: |t|={abs(t)} outside admissible range "
                   f"< {t_admissible:.4f}", file=sys.stderr)
-        re, im = stats.empirical_char_fn(acc, args.norm, t)
+        try:
+            re, im = stats.empirical_char_fn(acc, args.norm, t)
+        except ValueError:  # math.cos of an infinite t * x
+            raise ValueError(f"argument --t: {t} times the largest normalized winding "
+                             "passes the float range") from None
         target = math.exp(-0.5 * sigma2 * t * t)
         rows.append({
             "t": t,
@@ -314,9 +319,27 @@ COMMANDS = {
 }
 
 
+def _attach_negative_t(argv):
+    """argv with each `--t X`, X a negative number, written `--t=X`:
+    argparse takes a value starting with '-' for an option unless it reads
+    like -5 or -0.5, so `--t -1e3` would lack its value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--t" and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_t(sys.argv[1:] if argv is None else argv))
     try:
         return COMMANDS[args.command](args)
     except BudgetError as exc:
@@ -334,5 +357,21 @@ def main(argv=None):
         return EXIT_USAGE
 
 
+def entry(argv=None):
+    """Process entry of the `modwind` script and of `python -m modwind.cli`.
+
+    A call is one short process whose objects are almost all acyclic and
+    live until it exits, so cyclic GC would mostly walk numpy's long-lived
+    heap: it is off while the command runs, and the objects left when it
+    returns are frozen, out of the interpreter's final collection.
+    In-process callers use main, which leaves the collector as it is.
+    """
+    gc.disable()
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from . import sigma_p2
 from .cfcore import (
     MatrixZ,
     as_word,
@@ -121,20 +121,6 @@ def build_record(necklace, precision=128, cross_check=False):
         lw=word_length(rep),
         lg=lg,
     )
-
-
-def sigma_p2(A):
-    """Variance (A^2 - 1) / 12 of the period-length normalization."""
-    if A <= 1:
-        raise ValueError("A must exceed 1")
-    return Fraction(A * A - 1, 12)
-
-
-def sigma_w2(A):
-    """Variance (A - 1) / 12 of the word-length normalization."""
-    if A <= 1:
-        raise ValueError("A must exceed 1")
-    return Fraction(A - 1, 12)
 
 
 def fibonacci(k):

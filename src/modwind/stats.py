@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD  # noqa: F401  (re-exported)
+from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, sigma_p2  # noqa: F401  (re-exported)
 from .errors import BudgetError
-from .invariants import sigma_p2
 
 GRID_CAP = 1 << 24
 

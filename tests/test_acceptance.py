@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import modwind
 from modwind import bulk, cli, invariants, lattice, necklace, stats, svgplot
 
 NS = {"s": "http://www.w3.org/2000/svg"}
@@ -171,8 +172,8 @@ def _chat_transfer_operator(A):
 
 def test_05_constants(chat5):
     with criterion(5, "variance constants and ergodic estimate"):
-        assert invariants.sigma_p2(5) == Fraction(2)
-        assert invariants.sigma_w2(5) == Fraction(1, 3)
+        assert modwind.sigma_p2(5) == Fraction(2)
+        assert modwind.sigma_w2(5) == Fraction(1, 3)
         assert chat5.error_bound <= 1e-3
         # sigma_g2 is the limiting constant sigma_p^2 / c-hat (0.9023 at
         # A=5); the finite-N variance of psi/sqrt(lg) sits above it and is

@@ -2,6 +2,7 @@ import bisect
 import concurrent.futures
 import contextlib
 import functools
+import gc
 import io
 import itertools
 import json
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modwind import bulk, cli, invariants, lattice, necklace, stats, verify
+from modwind import bulk, cli, invariants, lattice, necklace, sigma_p2, stats, verify
 from modwind.errors import BudgetError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -664,7 +665,7 @@ class TestCliDist:
         )
         assert code == 0
         chat, tol = _chat_transfer_operator(6), 1e-3
-        s = float(invariants.sigma_p2(6))
+        s = float(sigma_p2(6))
         assert s / (chat + tol) <= json.loads(out)["sigma2"] <= s / (chat - tol)
 
 
@@ -740,11 +741,17 @@ class TestCliExitCodes:
         (["dist", "--A", "5", "--N", "40", "--norm", "geom"], 4),
         # the sampled route's int64 grid, which every A > 2^30 passes at N = 2
         (["dist", "--A", "2147483648", "--N", "2", "--norm", "period", "--sample", "10"], 4),
+        # a negative --t with an exponent is a value, not an option
+        (["charfn", "--A", "3", "--N", "4", "--t", "-1e3"], 0),
+        # t times the largest winding passes the float range
+        (["charfn", "--A", "5", "--N", "8", "--t", "1e308"], 2),
     ])
     def test_invalid_input(self, argv, expected, tmp_path):
         proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
         assert proc.returncode == expected, proc.stderr
         assert "Traceback" not in proc.stderr
+        if expected == 2:  # a usage error names the argument at fault
+            assert "argument --" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["count", "--A", "3", "--N", "1000000", "--exact"],
@@ -871,10 +878,24 @@ class TestCliExitCodes:
         (["dist", "--A", "1", "--N", "8", "--norm", "period"], 2,
          ("numpy", "modwind.bulk", "modwind.verify"), ()),
         (["dist", "--A", "3", "--N", "4", "--norm", "period"], 0,
-         ("modwind.bulk", "modwind.svgplot", "modwind.verify"), ("numpy", "modwind.lattice")),
+         ("modwind.bulk", "modwind.invariants", "modwind.svgplot", "modwind.verify"),
+         ("numpy", "modwind.lattice")),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--svg"], 0,
-         ("modwind.verify",), ("modwind.svgplot",)),
-    ], ids=["count", "help", "usage-error", "dist", "dist-svg"])
+         ("modwind.invariants", "modwind.verify"), ("modwind.svgplot",)),
+        (["dist", "--A", "3", "--N", "4", "--norm", "word"], 0,
+         ("modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+        (["dist", "--A", "3", "--N", "4", "--norm", "maxn"], 0,
+         ("modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+        (["charfn", "--A", "3", "--N", "4", "--t", "1"], 0,
+         ("modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+        (["count", "--A", "3", "--N", "4", "--exact"], 0,
+         ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--sample", "100"], 0,
+         ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
+        (["dist", "--A", "3", "--N", "4", "--norm", "word", "--sample", "100"], 0,
+         ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
+    ], ids=["count", "help", "usage-error", "dist", "dist-svg", "dist-word", "dist-maxn",
+            "charfn", "count-exact", "dist-sample", "dist-sample-word"])
     def test_loads_only_its_modules(self, argv, expected, absent, present, tmp_path):
         # In a fresh interpreter: this one has imported every module.
         code = ("import sys\n"
@@ -889,6 +910,56 @@ class TestCliExitCodes:
         proc = run_python("-c", code, cwd=tmp_path)
         assert proc.returncode == expected, proc.stderr
         assert "AssertionError" not in proc.stderr
+
+    @pytest.mark.parametrize("call, argv, expected, state", [
+        ("entry", ["dist", "--A", "3", "--N", "4", "--norm", "period"], 0, "False True"),
+        ("entry", ["dist", "--A", "1", "--N", "4", "--norm", "period"], 2, "False True"),
+        ("main", ["dist", "--A", "3", "--N", "4", "--norm", "period"], 0, "True False"),
+    ], ids=["entry", "entry-usage-error", "main"])
+    def test_gc_lifecycle(self, call, argv, expected, state, tmp_path):
+        # In a fresh interpreter, `python -m modwind.cli` (run as __main__
+        # here) turns cyclic GC off and freezes the heap once the command
+        # returns; cli.main leaves the collector as it found it.
+        run = {"entry": "runpy.run_module('modwind.cli', run_name='__main__')",
+               "main": "from modwind import cli; sys.exit(cli.main(sys.argv[1:]))"}[call]
+        code = ("import gc, runpy, sys\n"
+                f"sys.argv = ['modwind', *{argv!r}]\n"
+                "try:\n"
+                f"    {run}\n"
+                "except SystemExit as exc:\n"
+                "    code = exc.code\n"
+                "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+                "sys.exit(code)\n")
+        proc = run_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == expected, proc.stderr
+        assert proc.stdout.splitlines()[-1] == state
+
+
+class TestAcyclic:
+    """Each call leaves no more cyclic garbage after more work, so a CLI
+    call may run with cyclic GC off (cli.entry) without growing memory."""
+
+    @staticmethod
+    def unreachable(call):
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("larger, smaller", [
+        (lambda: bulk.run(5, 10), lambda: bulk.run(5, 6)),
+        (lambda: bulk.count(5, 10), lambda: bulk.count(5, 6)),
+        (lambda: bulk.sample(9, 14, 20_000, 1), lambda: bulk.sample(9, 14, 1_000, 1)),
+        (lambda: lattice.table(5, 20), lambda: lattice.table(5, 6)),
+        (lambda: invariants.chat_two_tail(5, 1e-6), lambda: invariants.chat_two_tail(5, 1e-3)),
+    ], ids=["run", "count", "sample", "table", "chat"])
+    def test_no_garbage_grows_with_work(self, larger, smaller):
+        larger()  # lazy imports and caches first
+        smaller()
+        assert self.unreachable(larger) <= self.unreachable(smaller)
 
 
 class TestLargeAlphabet:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modwind import invariants, necklace
+from modwind import invariants, necklace, sigma_p2, sigma_w2
 from modwind.cfcore import matrix_of_word
 from modwind.errors import BudgetError
 from modwind.invariants import (
@@ -20,8 +20,6 @@ from modwind.invariants import (
     two_tail_bounds,
     geodesic_length_eigen,
     geodesic_length_logsum,
-    sigma_p2,
-    sigma_w2,
     winding,
     word_length,
 )

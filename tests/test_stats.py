@@ -4,7 +4,7 @@ import math
 import pytest
 from mpmath import mp
 
-from modwind import bulk, cli, invariants, necklace, stats, svgplot
+from modwind import bulk, cli, invariants, necklace, sigma_p2, stats, svgplot
 from modwind.stats import (
     GEOM,
     MAXN,
@@ -305,7 +305,7 @@ class TestCdfAgainstScalarLoops:
         acc = _ORACLE_ACCUMULATORS[name]()
         points = _scalar_empirical_cdf(acc, norm)
         assert empirical_cdf(acc, norm) == points
-        for sigma2 in (0.37, float(invariants.sigma_p2(acc.A))):
+        for sigma2 in (0.37, float(sigma_p2(acc.A))):
             rep = ks_distance(acc, norm, sigma2)
             assert rep.cdf_points == points
             assert rep.ks == _scalar_ks(points, sigma2)
