@@ -4,7 +4,10 @@ Machine-readable JSON goes to stdout; progress lines go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O,
 4 resource budget exceeded: the module doing the work raises BudgetError
 before it starts, and main reports it.  Each command imports the modules
-it calls when it runs: `count`, `--help` and usage errors load no numpy.
+it calls when it runs.  Only enumeration and sampling (`bulk`), c-hat and
+the geometric lengths (`invariants`) and the geom histograms load numpy:
+`count`, the exact-table routes (`dist` under period, maxn and word, and
+`charfn`), `--help` and usage errors run without it.
 """
 
 from __future__ import annotations

@@ -14,42 +14,62 @@ pair-words, and each necklace of period length 2m has m of them.
 from __future__ import annotations
 
 from collections import Counter
-
-import numpy as np
+from itertools import accumulate
+from operator import add
 
 from .errors import BudgetError
 from .necklace import mobius
 from .stats import check_grid
 
 
+def _digit_sums(A, M):
+    """[c_0, ..., c_M]: c_m[e] counts the words of m digits in 1..A whose
+    digit sum is m + e, each row the A-wide running-window sums of the last."""
+    sums = [[1]]
+    for _ in range(M):
+        prev = sums[-1]
+        top = len(prev) - 1
+        cum = [0, *accumulate(prev)]
+        sums.append([cum[min(k, top) + 1] - cum[max(k - A + 1, 0)]
+                     for k in range(top + A)])
+    return sums
+
+
 def table(A, N, progress=None):
     """Exact {(n, psi, lw): count} over the necklaces of period length <= N,
     the table `bulk.run(A, N).table` enumerates; progress(i, N // 2) after
     each period length.  Raises BudgetError, before building anything,
-    past the grid cap or the int64 range."""
+    past the grid cap or at A^N >= 2^62."""
     if A < 2 or N < 2 or N % 2:
         raise ValueError("need A >= 2 and even N >= 2")
     check_grid(A, N)
-    # Every count and partial Moebius sum is below 2 A^N.
+    # The counts are exact Python ints at any size, but the route stops at
+    # the int64 range, every count and partial Moebius sum below
+    # 2 A^N < 2^63: the range in which its outputs are checked against the
+    # int64 construction.
     if A**N >= 2**62:
         raise BudgetError(f"the counts of A={A}, N={N} overflow int64")
     M = N // 2
-    sums = [np.ones(1, dtype=np.int64)]
-    for _ in range(M):
-        sums.append(np.convolve(sums[-1], np.ones(A, dtype=np.int64)))
+    sums = _digit_sums(A, M)
     out = Counter()
     for m in range(1, M + 1):
-        prim = np.zeros((sums[m].size,) * 2, dtype=np.int64)
-        for d in range(1, m + 1):
+        prim = [[ce * cf for cf in sums[m]] for ce in sums[m]]
+        for d in range(2, m + 1):
             sign = mobius(d) if m % d == 0 else 0
             if sign:
-                prim[::d, ::d] += sign * np.outer(sums[m // d], sums[m // d])
-        if (prim % m).any() or (prim < 0).any():
+                sub = sums[m // d]
+                for i, ci in enumerate(sub):
+                    row = prim[d * i]
+                    row[::d] = map(add, row[::d], [sign * ci * cj for cj in sub])
+        # m.__rmod__(v) is v % m, per cell in C.
+        if min(map(min, prim)) < 0 or any(any(map(m.__rmod__, row)) for row in prim):
             raise ArithmeticError(f"non-integral necklace count at m={m}")
-        e, f = np.nonzero(prim)
-        for p, w, v in zip((e - f).tolist(), (2 * (e + f) + 4 * m).tolist(),
-                           (prim[e, f] // m).tolist()):
-            out[(2 * m, p, w)] = v
+        width = len(prim)
+        for e, row in enumerate(prim):
+            lw = 2 * e + 4 * m
+            for psi, w, v in zip(range(e, e - width, -1), range(lw, lw + 2 * width, 2), row):
+                if v:
+                    out[(2 * m, psi, w)] = v // m
         if progress:
             progress(m, M)
     return out

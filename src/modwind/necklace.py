@@ -147,7 +147,11 @@ class CountReport:
 
 def pi_asymptotic(A, N):
     """Asymptotic count c_A * A^N / N with c_A = 2 A^2 / (A^2 - 1)."""
-    # The float first: past its range it raises before pi_exact sums.
+    # The float first: past its range it raises before pi_exact sums, and
+    # since c_A > 2, before A^N is formed once N log2(A) - log2(N) passes
+    # 1024, the float exponent range.
+    if N * math.log2(A) - math.log2(N) > 1024:
+        raise OverflowError("integer division result too large for a float")
     c_A = Fraction(2 * A * A, A * A - 1)
     asymptotic = float(c_A * Fraction(A**N, N))
     exact = pi_exact(A, N)

@@ -6,7 +6,9 @@ of millions of geodesics, so CDFs, moments, and characteristic functions
 under the period / maximal-period / word-length normalizations are exact
 integer computations.  The geometric-length normalization is not
 lattice-valued and is handled by a fixed binning whose contribution to
-the KS distance is reported as an explicit error bound.
+the KS distance is reported as an explicit error bound.  Only that
+binning, the per-word l_g histograms, loads numpy: the table
+normalizations run on Python ints and floats.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate, repeat
+from operator import sub, truediv
 
 from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, sigma_p2  # noqa: F401  (re-exported)
 from .errors import BudgetError
@@ -86,6 +88,7 @@ class JointCounts:
 
     def _hist_row(self, n):
         if n not in self.lg_hist:
+            import numpy as np
             self.lg_hist[n] = np.zeros(self.hist.bins + 2, dtype=np.int64)
             self.lg_sums[n] = np.zeros(4)
         return self.lg_hist[n]
@@ -161,34 +164,38 @@ def _table_values(acc, normalization):
 
 def _geom_counts(acc):
     """Binned psi/sqrt(lg) histogram summed over period lengths."""
+    import numpy as np
     counts = np.zeros(acc.hist.bins + 2, dtype=np.int64)
     for row in acc.lg_hist.values():
         counts += row
     return counts
 
 
-def _cdf_arrays(acc, normalization):
-    """Jump points x and right-continuous values F(x) as float64 arrays."""
+def _cdf_lists(acc, normalization):
+    """Jump points x and right-continuous values F(x) as lists of floats.
+
+    F is float(running count) / float(total), the rounding that cdf.csv
+    and ks are pinned to (numpy's division of an int64 cumsum): past 2^53
+    counts the exact ratio can differ from it in the last digit."""
     total = acc.total_count()
     if total == 0:
         raise ValueError("empty accumulator")
     if normalization == GEOM:
+        import numpy as np
         counts = _geom_counts(acc)
         # x = lo, then the right edge of each bin; the overflow cell adds none.
         xs = acc.hist.lo + np.arange(acc.hist.bins + 1) * acc.hist.width
-        running = np.cumsum(counts[:-1])
-    else:
-        values = _table_values(acc, normalization)
-        keys = sorted(values)
-        xs = np.array(keys, dtype=np.float64)
-        running = np.cumsum([values[x] for x in keys], dtype=np.int64)
-    return xs, running / total
+        return xs.tolist(), (np.cumsum(counts[:-1]) / total).tolist()
+    values = _table_values(acc, normalization)
+    xs = sorted(values)
+    running = accumulate(map(values.__getitem__, xs))
+    return xs, list(map(truediv, map(float, running), repeat(float(total))))
 
 
 def empirical_cdf(acc, normalization):
     """Right-continuous empirical CDF as a list of (x, F(x)) points."""
-    xs, fs = _cdf_arrays(acc, normalization)
-    return list(zip(xs.tolist(), fs.tolist()))
+    xs, fs = _cdf_lists(acc, normalization)
+    return list(zip(xs, fs))
 
 
 def gaussian_cdf(x, sigma2):
@@ -235,14 +242,11 @@ def ks_distance(acc, normalization, sigma2):
     exact; for the binned geometric normalization the report carries the
     discretization bound (largest single-bin mass plus tail mass).
     """
-    xs, fs = _cdf_arrays(acc, normalization)
+    xs, fs = _cdf_lists(acc, normalization)
     total = acc.total_count()
-    x_list = xs.tolist()
-    points = list(zip(x_list, fs.tolist()))
-    targets = _gaussian_cdfs(x_list, sigma2)
-    t = np.array(targets)
-    before = np.concatenate(([0.0], fs[:-1]))
-    ks = max(float(np.abs(fs - t).max()), float(np.abs(before - t).max()), 1.0 - float(fs[-1]))
+    targets = _gaussian_cdfs(xs, sigma2)
+    ks = max(max(map(abs, map(sub, fs, targets))),
+             max(map(abs, map(sub, [0.0, *fs[:-1]], targets))), 1.0 - fs[-1])
     bound = 0.0
     if normalization == GEOM:
         counts = _geom_counts(acc)
@@ -257,7 +261,7 @@ def ks_distance(acc, normalization, sigma2):
         mean=mean,
         variance=var,
         count=total,
-        cdf_points=points,
+        cdf_points=list(zip(xs, fs)),
         cdf_targets=targets,
     )
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from bisect import bisect_right
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 40
@@ -18,10 +17,10 @@ def density_histogram(cdf_points, lo, hi, bins):
     """Bin masses from a right-continuous CDF; returns (edges, densities)."""
     width = (hi - lo) / bins
     edges = [lo + i * width for i in range(bins + 1)]
-    xs = np.array([x for x, _ in cdf_points], dtype=np.float64)
+    xs = [x for x, _ in cdf_points]
     # F at each edge: the value of the last point at or left of it, 0 before any.
-    fs = np.array([0.0] + [f for _, f in cdf_points])
-    at_edges = fs[np.searchsorted(xs, edges, side="right")].tolist()
+    fs = [0.0] + [f for _, f in cdf_points]
+    at_edges = [fs[bisect_right(xs, edge)] for edge in edges]
     densities = [(b - a) / width for a, b in zip(at_edges, at_edges[1:])]
     return edges, densities
 

@@ -753,7 +753,7 @@ class TestCliExitCodes:
         if expected == 2:  # a usage error names the argument at fault
             assert "argument --" in proc.stderr
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv, refusal", [(argv, "cap") for argv in [
         ["count", "--A", "3", "--N", "1000000", "--exact"],
         ["charfn", "--A", "3", "--N", "80000", "--t", "1"],
         # the refused sides of the grid and work caps
@@ -766,8 +766,11 @@ class TestCliExitCodes:
         # the draws are priced before a depth-11 c-hat
         ["dist", "--A", "5", "--N", "8", "--norm", "geom", "--sample", "1000000000000",
          "--tol", "6e-9"],
-    ])
-    def test_work_cap_stops_early(self, argv, capsys, tmp_path, monkeypatch):
+    ]] + [
+        # the closed-form count, priced before A^N is formed
+        (["count", "--A", "5", "--N", "100000000"], "float range"),
+    ], ids=[f"argv{i}" for i in range(10)])
+    def test_work_cap_stops_early(self, argv, refusal, capsys, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the refusal")
 
@@ -782,7 +785,7 @@ class TestCliExitCodes:
         assert time.monotonic() - start < 1.0
         assert code == 4
         assert out == ""
-        assert "cap" in err
+        assert refusal in err
         assert not any(tmp_path.iterdir())
 
     def test_count_overflow_stops_early(self, capsys):
@@ -878,24 +881,26 @@ class TestCliExitCodes:
         (["dist", "--A", "1", "--N", "8", "--norm", "period"], 2,
          ("numpy", "modwind.bulk", "modwind.verify"), ()),
         (["dist", "--A", "3", "--N", "4", "--norm", "period"], 0,
-         ("modwind.bulk", "modwind.invariants", "modwind.svgplot", "modwind.verify"),
-         ("numpy", "modwind.lattice")),
+         ("numpy", "modwind.bulk", "modwind.invariants", "modwind.svgplot", "modwind.verify"),
+         ("modwind.lattice",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--svg"], 0,
-         ("modwind.invariants", "modwind.verify"), ("modwind.svgplot",)),
+         ("numpy", "modwind.invariants", "modwind.verify"), ("modwind.svgplot",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "word"], 0,
-         ("modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+         ("numpy", "modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "maxn"], 0,
-         ("modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+         ("numpy", "modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
         (["charfn", "--A", "3", "--N", "4", "--t", "1"], 0,
-         ("modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+         ("numpy", "modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
         (["count", "--A", "3", "--N", "4", "--exact"], 0,
          ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--sample", "100"], 0,
          ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "word", "--sample", "100"], 0,
          ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
+        (["dist", "--A", "1449", "--N", "2", "--norm", "period"], 4,
+         ("numpy", "modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
     ], ids=["count", "help", "usage-error", "dist", "dist-svg", "dist-word", "dist-maxn",
-            "charfn", "count-exact", "dist-sample", "dist-sample-word"])
+            "charfn", "count-exact", "dist-sample", "dist-sample-word", "dist-grid-cap"])
     def test_loads_only_its_modules(self, argv, expected, absent, present, tmp_path):
         # In a fresh interpreter: this one has imported every module.
         code = ("import sys\n"

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modwind import bulk, cli, lattice, necklace
+from modwind import GEOM, bulk, cli, lattice, necklace, stats
 from modwind.errors import BudgetError
 
 # Every output file of `dist` and stdout of both commands, for the exact
@@ -19,6 +21,37 @@ CHARFN_RUNS = [
     ("4", "10", "period", ["--t", "0.5", "--t", "1", "--t", "2"]),
     ("5", "8", "maxn", ["--t", "0.5", "--t", "30"]),
 ]
+
+
+def _numpy_table(A, N):
+    """The int64 construction lattice.table replaced: digit-sum counts by
+    np.convolve, each Moebius term an np.outer on its sublattice."""
+    M = N // 2
+    sums = [np.ones(1, dtype=np.int64)]
+    for _ in range(M):
+        sums.append(np.convolve(sums[-1], np.ones(A, dtype=np.int64)))
+    out = Counter()
+    for m in range(1, M + 1):
+        prim = np.zeros((sums[m].size,) * 2, dtype=np.int64)
+        for d in range(1, m + 1):
+            sign = necklace.mobius(d) if m % d == 0 else 0
+            if sign:
+                prim[::d, ::d] += sign * np.outer(sums[m // d], sums[m // d])
+        assert not (prim % m).any() and not (prim < 0).any()
+        e, f = np.nonzero(prim)
+        for p, w, v in zip((e - f).tolist(), (2 * (e + f) + 4 * m).tolist(),
+                           (prim[e, f] // m).tolist()):
+            out[(2 * m, p, w)] = v
+    return out
+
+
+def _numpy_cdf(acc, normalization):
+    """The CDF as numpy made it, an int64 cumsum divided by the count."""
+    assert normalization != GEOM
+    values = stats._table_values(acc, normalization)
+    keys = sorted(values)
+    running = np.cumsum([values[x] for x in keys], dtype=np.int64)
+    return keys, (running / acc.total_count()).tolist()
 
 
 class TestTable:
@@ -42,6 +75,13 @@ class TestTable:
         cells = lattice.table(A, N)
         assert sum(cells.values()) == necklace.pi_exact(A, N)
         assert all(c > 0 for c in cells.values())
+
+    @pytest.mark.parametrize("A, N", [(2, 60), (3, 38), (5, 26), (9, 18), (60, 4),
+                                      (300, 2)])
+    def test_matches_numpy_construction(self, A, N):
+        cells = lattice.table(A, N)
+        assert list(cells.items()) == list(_numpy_table(A, N).items())
+        assert all(type(c) is int for c in cells.values())
 
     @pytest.mark.parametrize("A, N", [(2, 62), (3, 40), (2**31, 2)])
     def test_int64_bound(self, A, N):
@@ -113,6 +153,20 @@ class TestCliRoute:
                          "--out-dir", str(tmp_path)])
         assert code == 0
         assert capsys.readouterr().err.splitlines() == [f"shard {i}/4" for i in range(1, 5)]
+
+
+class TestNumpyRendering:
+    """Past 2^53 counts, F is float(count) / float(total), as numpy divided
+    its int64 cumsum; the exact ratio differs in the last digit."""
+
+    @pytest.mark.parametrize("A, N, norm", [("5", "26", "word"), ("2", "60", "period")])
+    def test_cdf_and_report(self, A, N, norm, tmp_path, capsys, monkeypatch):
+        assert necklace.pi_exact(int(A), int(N)) > 2**53
+        new = _dist_outputs(capsys, tmp_path / "lists", A, N, norm, [])
+        monkeypatch.setattr(stats, "_cdf_lists", _numpy_cdf)
+        old = _dist_outputs(capsys, tmp_path / "numpy", A, N, norm, [])
+        assert new == old
+        assert set(new[1]) == {"table.csv", "cdf.csv", "report.json"}
 
 
 class TestVerify:

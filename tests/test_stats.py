@@ -297,7 +297,7 @@ _ORACLE_ACCUMULATORS = {
 
 
 class TestCdfAgainstScalarLoops:
-    """The numpy CDF, KS and cdf.csv equal the per-point loops bit for bit."""
+    """The one-pass CDF, KS and cdf.csv equal the per-point loops bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_ACCUMULATORS))
     @pytest.mark.parametrize("norm", [PERIOD, MAXN, WORD, GEOM])
