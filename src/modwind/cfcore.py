@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def as_word(digits, bound=None):
+def as_word(digits):
     """Validate and normalize a digit sequence into a word tuple."""
     word = tuple(int(d) for d in digits)
     if not word:
@@ -23,8 +23,6 @@ def as_word(digits, bound=None):
     for d in word:
         if d < 1:
             raise ValueError(f"partial quotient {d} < 1")
-        if bound is not None and d > bound:
-            raise ValueError(f"partial quotient {d} exceeds bound {bound}")
     return word
 
 

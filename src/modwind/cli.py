@@ -216,12 +216,13 @@ def cmd_dist(args):
     else:
         acc = _exact_table(args.A, args.N)
     report = stats.ks_distance(acc, args.norm, sigma2)
+    summary = dumps17(stats.report_json(report, args.A, args.N))
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         stats.write_table_csv(acc, os.path.join(args.out_dir, "table.csv"))
         stats.write_cdf_csv(report, os.path.join(args.out_dir, "cdf.csv"))
         with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
-            fh.write(dumps17(stats.report_json(report, args.A, args.N)) + "\n")
+            fh.write(summary + "\n")
         if args.svg:
             from . import svgplot
             with open(os.path.join(args.out_dir, "dist.svg"), "w") as fh:
@@ -229,7 +230,7 @@ def cmd_dist(args):
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(dumps17(stats.report_json(report, args.A, args.N)))
+    print(summary)
     return EXIT_OK
 
 
@@ -266,16 +267,16 @@ def cmd_charfn(args):
     sigma2 = float(sigma_p2(args.A))
     acc = _exact_table(args.A, args.N)
     t_admissible = math.sqrt(2.0 * math.log(args.A) * args.N) / math.sqrt(sigma2)
-    rows = []
     for t in args.t:
         if args.norm == MAXN and abs(t) >= t_admissible:
             print(f"warning: |t|={abs(t)} outside admissible range "
                   f"< {t_admissible:.4f}", file=sys.stderr)
-        try:
-            re, im = stats.empirical_char_fn(acc, args.norm, t)
-        except ValueError:  # math.cos of an infinite t * x
-            raise ValueError(f"argument --t: {t} times the largest normalized winding "
-                             "passes the float range") from None
+    try:
+        values = stats.empirical_char_fn(acc, args.norm, args.t)
+    except ValueError as exc:
+        raise ValueError(f"argument --t: {exc}") from None
+    rows = []
+    for t, (re, im) in zip(args.t, values):
         target = math.exp(-0.5 * sigma2 * t * t)
         rows.append({
             "t": t,

@@ -25,6 +25,8 @@ from .cfcore import (
 from .errors import BudgetError
 from .necklace import Necklace
 
+PRECISION = 128  # bits of the mpmath geodesic-length routes
+
 
 def winding(word):
     """Alternating sum a1 - a2 + a3 - ... - an of an even-length word."""
@@ -57,7 +59,7 @@ def _rotation_matrices(word):
         yield m
 
 
-def geodesic_length_logsum(word, precision=128):
+def geodesic_length_logsum(word):
     """2 * sum_j log(value of the j-th rotation of the period).
 
     Each summand is the exact purely periodic value of a rotated word;
@@ -70,7 +72,7 @@ def geodesic_length_logsum(word, precision=128):
         raise ValueError("geodesic length needs an even-length word")
     from mpmath import mp
 
-    with mp.workprec(precision + 16):
+    with mp.workprec(PRECISION + 16):
         total = mp.mpf(0)
         sqrt_disc = None
         for m in _rotation_matrices(word):
@@ -81,15 +83,15 @@ def geodesic_length_logsum(word, precision=128):
         return float(2 * total)
 
 
-def geodesic_length_eigen(word, precision=128):
+def geodesic_length_eigen(word):
     """2 * log of the larger eigenvalue of the word's matrix."""
     word = as_word(word)
     if len(word) % 2 != 0:
         raise ValueError("geodesic length needs an even-length word")
     from mpmath import mp
 
-    with mp.workprec(precision + 16):
-        return float(2 * mp.log(eigenvalue_max(matrix_of_word(word), precision)))
+    with mp.workprec(PRECISION + 16):
+        return float(2 * mp.log(eigenvalue_max(matrix_of_word(word))))
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,12 @@ class GeodesicRecord:
     lg: float
 
 
-def build_record(necklace, precision=128, cross_check=False):
+def build_record(necklace, cross_check=False):
     """Bundle winding, period length, word length, geometric length."""
     rep = necklace.rep
-    lg = geodesic_length_logsum(rep, precision)
+    lg = geodesic_length_logsum(rep)
     if cross_check:
-        eig = geodesic_length_eigen(rep, precision)
+        eig = geodesic_length_eigen(rep)
         rel = abs(lg - eig) / eig
         if rel >= 1e-9:
             raise AssertionError(

@@ -6,9 +6,11 @@ of millions of geodesics, so CDFs, moments, and characteristic functions
 under the period / maximal-period / word-length normalizations are exact
 integer computations.  The geometric-length normalization is not
 lattice-valued and is handled by a fixed binning whose contribution to
-the KS distance is reported as an explicit error bound.  Only that
-binning, the per-word l_g histograms, loads numpy: the table
-normalizations run on Python ints and floats.
+the KS distance is reported as an explicit error bound.  Each report
+reads one support, built once by _support: the exact values and their
+counts, or the bin edges and the histogram, with F at each point.  Only
+the geometric binning, the per-word l_g histograms, loads numpy: the
+table normalizations run on Python ints and floats.
 """
 
 from __future__ import annotations
@@ -171,40 +173,35 @@ def _geom_counts(acc):
     return counts
 
 
-def _cdf_lists(acc, normalization):
-    """Jump points x and right-continuous values F(x) as lists of floats.
+def _support(acc, normalization):
+    """The support of the normalized winding, built once per report.
 
-    F is float(running count) / float(total), the rounding that cdf.csv
-    and ks are pinned to (numpy's division of an int64 cumsum): past 2^53
-    counts the exact ratio can differ from it in the last digit."""
+    Returns (xs, counts, fs, total): the increasing support points, the
+    count at each, F at each and the number of geodesics.  Under period,
+    maxn and word the points are the exact values; under geom they are lo
+    and the right edge of each bin, counts is the whole int64 histogram
+    and its last cell, the overflow, lies past the last point.  F is
+    float(running count) / float(total), the rounding that cdf.csv and ks
+    are pinned to (numpy's division of an int64 cumsum): past 2^53 counts
+    the exact ratio can differ from it in the last digit.
+    """
     total = acc.total_count()
     if total == 0:
         raise ValueError("empty accumulator")
     if normalization == GEOM:
         import numpy as np
         counts = _geom_counts(acc)
-        # x = lo, then the right edge of each bin; the overflow cell adds none.
         xs = acc.hist.lo + np.arange(acc.hist.bins + 1) * acc.hist.width
-        return xs.tolist(), (np.cumsum(counts[:-1]) / total).tolist()
+        return xs.tolist(), counts, (np.cumsum(counts[:-1]) / total).tolist(), total
     values = _table_values(acc, normalization)
     xs = sorted(values)
-    running = accumulate(map(values.__getitem__, xs))
-    return xs, list(map(truediv, map(float, running), repeat(float(total))))
-
-
-def empirical_cdf(acc, normalization):
-    """Right-continuous empirical CDF as a list of (x, F(x)) points."""
-    xs, fs = _cdf_lists(acc, normalization)
-    return list(zip(xs, fs))
-
-
-def gaussian_cdf(x, sigma2):
-    """CDF of a centered Gaussian with the given variance."""
-    return _gaussian_cdfs([x], sigma2)[0]
+    counts = list(map(values.__getitem__, xs))
+    fs = list(map(truediv, map(float, accumulate(counts)), repeat(float(total))))
+    return xs, counts, fs, total
 
 
 def _gaussian_cdfs(xs, sigma2):
-    """gaussian_cdf at each of xs: one math.erf per point."""
+    """CDF of a centered Gaussian with the given variance at each of xs."""
     if sigma2 <= 0:
         raise ValueError("variance must be positive")
     scale = math.sqrt(2.0 * sigma2)
@@ -224,17 +221,6 @@ class DistributionReport:
     cdf_targets: list = field(repr=False, default_factory=list)
 
 
-def _moments(acc, normalization):
-    total = acc.total_count()
-    if normalization == GEOM:
-        mean = math.fsum(m[0] for m in acc.lg_sums.values()) / total
-        return mean, math.fsum(m[1] for m in acc.lg_sums.values()) / total - mean * mean
-    values = _table_values(acc, normalization)
-    mean = math.fsum(c * x for x, c in values.items()) / total
-    var = math.fsum(c * x * x for x, c in values.items()) / total - mean * mean
-    return mean, var
-
-
 def ks_distance(acc, normalization, sigma2):
     """KS distance to N(0, sigma2), evaluated on both sides of each jump.
 
@@ -242,17 +228,18 @@ def ks_distance(acc, normalization, sigma2):
     exact; for the binned geometric normalization the report carries the
     discretization bound (largest single-bin mass plus tail mass).
     """
-    xs, fs = _cdf_lists(acc, normalization)
-    total = acc.total_count()
+    xs, counts, fs, total = _support(acc, normalization)
     targets = _gaussian_cdfs(xs, sigma2)
     ks = max(max(map(abs, map(sub, fs, targets))),
              max(map(abs, map(sub, [0.0, *fs[:-1]], targets))), 1.0 - fs[-1])
-    bound = 0.0
     if normalization == GEOM:
-        counts = _geom_counts(acc)
-        tail = int(counts[0] + counts[-1])
-        bound = (int(counts[1:-1].max()) + tail) / total
-    mean, var = _moments(acc, normalization)
+        bound = (int(counts[1:-1].max()) + int(counts[0] + counts[-1])) / total
+        mean = math.fsum(m[0] for m in acc.lg_sums.values()) / total
+        var = math.fsum(m[1] for m in acc.lg_sums.values()) / total - mean * mean
+    else:
+        bound = 0.0
+        mean = math.fsum(c * x for x, c in zip(xs, counts)) / total
+        var = math.fsum(c * x * x for x, c in zip(xs, counts)) / total - mean * mean
     return DistributionReport(
         normalization=normalization,
         sigma2_target=float(sigma2),
@@ -266,21 +253,29 @@ def ks_distance(acc, normalization, sigma2):
     )
 
 
-def empirical_char_fn(acc, normalization, t):
-    """Empirical characteristic function (real, imaginary) at t.
+def empirical_char_fn(acc, normalization, ts):
+    """Empirical characteristic function (real, imaginary) at each of ts.
 
     Exact-table normalizations only; computed from the joint table, so
-    it is replayable for any t after a single enumeration pass.
+    it is replayable for any t after a single enumeration pass.  Raises
+    ValueError naming the first t whose t * x passes the float range.
     """
     if normalization not in (PERIOD, MAXN):
         raise ValueError(f"characteristic function unsupported for {normalization!r}")
     total = acc.total_count()
     if total == 0:
         raise ValueError("empty accumulator")
-    values = _table_values(acc, normalization)
-    re = math.fsum(c * math.cos(t * x) for x, c in values.items()) / total
-    im = math.fsum(c * math.sin(t * x) for x, c in values.items()) / total
-    return re, im
+    values = _table_values(acc, normalization).items()
+    out = []
+    for t in ts:
+        try:
+            re = math.fsum(c * math.cos(t * x) for x, c in values) / total
+            im = math.fsum(c * math.sin(t * x) for x, c in values) / total
+        except ValueError:  # math.cos of an infinite t * x
+            raise ValueError(f"{t} times the largest normalized winding "
+                             "passes the float range") from None
+        out.append((re, im))
+    return out
 
 
 def ratio_report(acc):
@@ -303,8 +298,8 @@ def write_table_csv(acc, path):
     """Exact joint table: one row per nonzero cell, lexicographic order."""
     with open(path, "w") as fh:
         fh.write("n,psi,lw,count\n")
-        for n, psi, lw in sorted(acc.table):
-            fh.write(f"{n},{psi},{lw},{acc.table[(n, psi, lw)]}\n")
+        for (n, psi, lw), cnt in sorted(acc.table.items()):
+            fh.write(f"{n},{psi},{lw},{cnt}\n")
 
 
 def write_cdf_csv(report, path):

@@ -7,6 +7,8 @@ from bisect import bisect_right
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 40
+BINS = 80  # histogram bins across the plotted range
+SPAN = 4.0  # the plotted range is +- SPAN standard deviations
 
 
 def _scale(x, lo, hi, out_lo, out_hi):
@@ -25,11 +27,11 @@ def density_histogram(cdf_points, lo, hi, bins):
     return edges, densities
 
 
-def render(cdf_points, sigma2, bins=80, span=4.0):
+def render(cdf_points, sigma2):
     """SVG document with one histogram group and one Gaussian curve path."""
     sigma = math.sqrt(sigma2)
-    lo, hi = -span * sigma, span * sigma
-    edges, dens = density_histogram(cdf_points, lo, hi, bins)
+    lo, hi = -SPAN * sigma, SPAN * sigma
+    edges, dens = density_histogram(cdf_points, lo, hi, BINS)
     peak = 1.0 / math.sqrt(2 * math.pi * sigma2)
     ymax = max([peak] + dens) * 1.15
 

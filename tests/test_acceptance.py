@@ -268,12 +268,13 @@ def test_08_distributional_convergence(restrictions, chat5, tmp_path):
 def test_09_characteristic_function(full_run):
     with criterion(9, "characteristic function vs Gaussian target"):
         acc, _ = full_run
-        for t in (0.5, 1.0, 2.0):
-            re_p, im_p = stats.empirical_char_fn(acc, stats.PERIOD, t)
+        ts = (0.5, 1.0, 2.0)
+        period = stats.empirical_char_fn(acc, stats.PERIOD, ts)
+        maxn = stats.empirical_char_fn(acc, stats.MAXN, ts)
+        for t, (re_p, im_p), (re_m, _) in zip(ts, period, maxn):
             target = math.exp(-0.5 * 2.0 * t * t)
             assert abs(re_p - target) < 0.02
             assert abs(im_p) < 1e-9
-            re_m, _ = stats.empirical_char_fn(acc, stats.MAXN, t)
             assert abs(re_m - re_p) < 0.05
 
 

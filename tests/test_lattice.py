@@ -45,13 +45,15 @@ def _numpy_table(A, N):
     return out
 
 
-def _numpy_cdf(acc, normalization):
-    """The CDF as numpy made it, an int64 cumsum divided by the count."""
+def _numpy_support(acc, normalization):
+    """The support with F as numpy made it, an int64 cumsum divided by the count."""
     assert normalization != GEOM
     values = stats._table_values(acc, normalization)
     keys = sorted(values)
-    running = np.cumsum([values[x] for x in keys], dtype=np.int64)
-    return keys, (running / acc.total_count()).tolist()
+    counts = [values[x] for x in keys]
+    total = acc.total_count()
+    running = np.cumsum(counts, dtype=np.int64)
+    return keys, counts, (running / total).tolist(), total
 
 
 class TestTable:
@@ -163,7 +165,7 @@ class TestNumpyRendering:
     def test_cdf_and_report(self, A, N, norm, tmp_path, capsys, monkeypatch):
         assert necklace.pi_exact(int(A), int(N)) > 2**53
         new = _dist_outputs(capsys, tmp_path / "lists", A, N, norm, [])
-        monkeypatch.setattr(stats, "_cdf_lists", _numpy_cdf)
+        monkeypatch.setattr(stats, "_support", _numpy_support)
         old = _dist_outputs(capsys, tmp_path / "numpy", A, N, norm, [])
         assert new == old
         assert set(new[1]) == {"table.csv", "cdf.csv", "report.json"}

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 from mpmath import mp
@@ -12,9 +13,8 @@ from modwind.stats import (
     WORD,
     HistConfig,
     JointCounts,
-    empirical_cdf,
+    _gaussian_cdfs,
     empirical_char_fn,
-    gaussian_cdf,
     ks_distance,
     merge,
     ratio_report,
@@ -85,7 +85,7 @@ class TestEmpiricalCdf:
     def test_hand_example_A2_N2(self):
         # P_2 at A = 2: psi values {0, 0, -1, 1}
         acc = full_accumulator(2, 2)
-        points = dict(empirical_cdf(acc, PERIOD))
+        points = dict(ks_distance(acc, PERIOD, 1.0).cdf_points)
         inv = 1 / math.sqrt(2)
         assert points[-inv] == pytest.approx(0.25)
         assert points[0.0] == pytest.approx(0.75)
@@ -93,7 +93,7 @@ class TestEmpiricalCdf:
 
     def test_symmetry(self):
         acc = full_accumulator(2, 6)
-        points = empirical_cdf(acc, PERIOD)
+        points = ks_distance(acc, PERIOD, 1.0).cdf_points
         lookup = dict(points)
         cdf = dict(points)
         xs = sorted(lookup)
@@ -104,46 +104,44 @@ class TestEmpiricalCdf:
     def test_single_record(self):
         acc = filled(5, 4, [(3, 2, 3, 4)])
         for norm in (PERIOD, MAXN, WORD):
-            points = empirical_cdf(acc, norm)
+            points = ks_distance(acc, norm, 1.0).cdf_points
             assert points == [(0.0, 1.0)]
 
     def test_monotone_and_normalized(self):
         acc = full_accumulator(3, 6)
         for norm in (PERIOD, MAXN, WORD, GEOM):
-            points = empirical_cdf(acc, norm)
+            points = ks_distance(acc, norm, 1.0).cdf_points
             fs = [f for _, f in points]
             assert all(b >= a for a, b in zip(fs, fs[1:]))
             assert fs[-1] == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_cdf(JointCounts(2, 4), PERIOD)
+            ks_distance(JointCounts(2, 4), PERIOD, 1.0)
 
 
 class TestGaussianCdf:
     def test_examples(self):
-        assert gaussian_cdf(0.0, 2.0) == 0.5
-        assert gaussian_cdf(3.0, 9.0) == pytest.approx(0.8413447460685429, abs=1e-12)
-        assert gaussian_cdf(-40.0, 1.0) == pytest.approx(0.0, abs=1e-300)
+        assert _gaussian_cdfs([0.0], 2.0) == [0.5]
+        assert _gaussian_cdfs([3.0], 9.0)[0] == pytest.approx(0.8413447460685429, abs=1e-12)
+        assert _gaussian_cdfs([-40.0], 1.0)[0] == pytest.approx(0.0, abs=1e-300)
         with pytest.raises(ValueError):
-            gaussian_cdf(0.0, 0.0)
+            _gaussian_cdfs([0.0], 0.0)
 
     def test_against_high_precision_oracle(self):
         # 1e3 points against the mpmath error function at 50 digits
+        xs = [-8.0 + 16.0 * i / 999 for i in range(1000)]
         with mp.workdps(50):
-            for i in range(1000):
-                x = -8.0 + 16.0 * i / 999
+            for x, got in zip(xs, _gaussian_cdfs(xs, 1.0)):
                 want = float(0.5 * (1 + mp.erf(x / mp.sqrt(2))))
-                assert abs(gaussian_cdf(x, 1.0) - want) < 1e-12
+                assert abs(got - want) < 1e-12
 
     def test_symmetry_and_monotonicity(self):
         xs = [i / 7 for i in range(-35, 36)]
-        vals = [gaussian_cdf(x, 0.37) for x in xs]
+        vals = _gaussian_cdfs(xs, 0.37)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        for x in xs:
-            assert gaussian_cdf(x, 0.37) + gaussian_cdf(-x, 0.37) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        for v, w in zip(vals, _gaussian_cdfs([-x for x in xs], 0.37)):
+            assert v + w == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKsDistance:
@@ -173,21 +171,85 @@ class TestKsDistance:
 class TestCharFn:
     def test_t_zero(self):
         acc = full_accumulator(2, 4)
-        assert empirical_char_fn(acc, PERIOD, 0.0) == (1.0, 0.0)
+        assert empirical_char_fn(acc, PERIOD, [0.0]) == [(1.0, 0.0)]
 
     def test_imaginary_part_vanishes(self):
         acc = full_accumulator(3, 6)
-        for t in (0.3, 1.0, 2.7):
-            _, im = empirical_char_fn(acc, PERIOD, t)
-            assert abs(im) < 1e-12
-            _, im = empirical_char_fn(acc, MAXN, t)
-            assert abs(im) < 1e-12
+        for norm in (PERIOD, MAXN):
+            for _, im in empirical_char_fn(acc, norm, [0.3, 1.0, 2.7]):
+                assert abs(im) < 1e-12
 
     def test_unsupported_norms(self):
         acc = full_accumulator(2, 4)
         for norm in (WORD, GEOM):
             with pytest.raises(ValueError):
-                empirical_char_fn(acc, norm, 1.0)
+                empirical_char_fn(acc, norm, [1.0])
+
+    @pytest.mark.parametrize("norm", [PERIOD, MAXN])
+    @pytest.mark.parametrize("make", [lambda: full_accumulator(3, 6),
+                                      lambda: cli._exact_table(5, 12)])
+    def test_against_cellwise_oracle(self, make, norm):
+        acc = make()
+        ts = [0.0, 0.5, 1.0, -2.7, 13.0, 250.0]
+        got = [v for pair in empirical_char_fn(acc, norm, ts) for v in pair]
+        want = [v for pair in _cellwise_char_fn(acc, norm, ts) for v in pair]
+        assert got == pytest.approx(want, abs=1e-15, rel=0)
+
+    def test_overflow_names_t(self):
+        acc = full_accumulator(3, 6)
+        with pytest.raises(ValueError, match=r"^1e\+308 times the largest"):
+            empirical_char_fn(acc, PERIOD, [1.0, 1e308, 2.0])
+
+
+def _cellwise_char_fn(acc, normalization, ts):
+    """(re, im) at each t, summed over the (n, psi, lw) cells one by one."""
+    total = sum(acc.table.values())
+    out = []
+    for t in ts:
+        re, im = [], []
+        for (n, psi, _), cnt in acc.table.items():
+            x = psi / math.sqrt(n if normalization == PERIOD else acc.N)
+            re.append(cnt * math.cos(t * x))
+            im.append(cnt * math.sin(t * x))
+        out.append((math.fsum(re) / total, math.fsum(im) / total))
+    return out
+
+
+class TestOnePass:
+    """Each report builds its support once, and charfn once for all its t."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("_table_values", "_geom_counts"):
+            monkeypatch.setattr(stats, name, counted(name, getattr(stats, name)))
+        monkeypatch.setattr(JointCounts, "total_count",
+                            counted("total_count", JointCounts.total_count))
+        return calls
+
+    @pytest.mark.parametrize("norm", [PERIOD, MAXN, WORD, GEOM])
+    def test_ks_distance(self, norm, monkeypatch):
+        acc = bulk.run(3, 8)
+        calls = self._count_passes(monkeypatch)
+        ks_distance(acc, norm, 0.5)
+        support = "_geom_counts" if norm == GEOM else "_table_values"
+        assert calls == {"total_count": 1, support: 1}
+
+    @pytest.mark.parametrize("norm", [PERIOD, MAXN])
+    def test_charfn(self, norm, monkeypatch, capsys):
+        calls = self._count_passes(monkeypatch)
+        code = cli.main(["charfn", "--A", "4", "--N", "10", "--norm", norm,
+                         "--t", "0.5", "--t", "1", "--t", "2"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["points"]) == 3
+        assert calls == {"total_count": 1, "_table_values": 1}
 
 
 class TestRatios:
@@ -242,7 +304,7 @@ class TestSerialization:
 
 
 def _scalar_empirical_cdf(acc, normalization):
-    """The per-point loop that stats.empirical_cdf replaced."""
+    """The per-point loop that the one-pass CDF of stats.ks_distance replaced."""
     total = acc.total_count()
     if normalization == GEOM:
         counts = stats._geom_counts(acc)
@@ -304,7 +366,6 @@ class TestCdfAgainstScalarLoops:
     def test_points_ks_and_csv(self, name, norm, tmp_path):
         acc = _ORACLE_ACCUMULATORS[name]()
         points = _scalar_empirical_cdf(acc, norm)
-        assert empirical_cdf(acc, norm) == points
         for sigma2 in (0.37, float(sigma_p2(acc.A))):
             rep = ks_distance(acc, norm, sigma2)
             assert rep.cdf_points == points
@@ -346,7 +407,7 @@ class TestDensityHistogramAgainstLoop:
     @pytest.mark.parametrize("name", sorted(_ORACLE_ACCUMULATORS))
     @pytest.mark.parametrize("norm", [PERIOD, WORD, GEOM])
     def test_densities(self, name, norm):
-        points = empirical_cdf(_ORACLE_ACCUMULATORS[name](), norm)
+        points = ks_distance(_ORACLE_ACCUMULATORS[name](), norm, 1.0).cdf_points
         for lo, hi, bins in ((-3.0, 3.0, 80), (-0.5, 0.25, 7), (5.0, 6.0, 3)):
             got = svgplot.density_histogram(points, lo, hi, bins)
             assert got == _scalar_density_histogram(points, lo, hi, bins)
