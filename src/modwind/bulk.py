@@ -51,7 +51,7 @@ import numpy as np
 
 from . import necklace
 from .errors import BudgetError
-from .stats import GRID_CAP, JointCounts, check_grid, grid_cells, merge
+from .stats import JointCounts, check_grid, grid_cells, merge
 
 # int64 matrix entries stay exact below this bound on (A+1)^n.
 _ENTRY_BITS = 62

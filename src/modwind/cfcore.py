@@ -11,7 +11,7 @@ fraction with that word as period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -26,14 +26,10 @@ def as_word(digits):
     return word
 
 
-@dataclass(frozen=True)
-class MatrixZ:
+class MatrixZ(namedtuple("MatrixZ", "a b c d")):
     """2x2 integer matrix with exact (arbitrary precision) entries."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     def __matmul__(self, other):
         return MatrixZ(
@@ -52,8 +48,7 @@ class MatrixZ:
         return self.a + self.d
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(namedtuple("QuadraticSurd", "p r D q")):
     """Exact value (p + r*sqrt(D)) / q with integer p, r, D >= 0, q != 0.
 
     Stored with q > 0 and gcd(p, r, q) = 1; a square D is folded into p.
@@ -63,13 +58,9 @@ class QuadraticSurd:
     are equal exactly when their keys are.
     """
 
-    p: int
-    r: int
-    D: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, r, D, q = self.p, self.r, self.D, self.q
+    def __new__(cls, p, r, D, q):
         if q == 0:
             raise ValueError("zero denominator")
         if D < 0:
@@ -82,10 +73,7 @@ class QuadraticSurd:
         g = math.gcd(math.gcd(abs(p), abs(r)), q)
         if g > 1:
             p, r, q = p // g, r // g, q // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "q", q)
+        return super().__new__(cls, p, r, D, q)
 
     def _key(self):
         sign = (self.r > 0) - (self.r < 0)
@@ -98,6 +86,8 @@ class QuadraticSurd:
 
     def __hash__(self):
         return hash(self._key())
+
+    __ne__ = object.__ne__  # the negated key equality, not tuple's !=
 
     def to_mpf(self, precision=128):
         """Numerical value at the requested binary precision."""

@@ -10,7 +10,7 @@ rounding and cross-check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .cfcore import (
     matrix_of_word,
 )
 from .errors import BudgetError
-from .necklace import Necklace
 
 PRECISION = 128  # bits of the mpmath geodesic-length routes
+DUAL_LENGTH_TOL = 1e-9  # largest relative gap allowed between the two routes
 
 
 def winding(word):
@@ -94,15 +94,10 @@ def geodesic_length_eigen(word):
         return float(2 * mp.log(eigenvalue_max(matrix_of_word(word))))
 
 
-@dataclass(frozen=True)
-class GeodesicRecord:
+class GeodesicRecord(namedtuple("GeodesicRecord", "necklace psi lp lw lg")):
     """All four invariants of one primitive closed geodesic."""
 
-    necklace: Necklace
-    psi: int
-    lp: int
-    lw: int
-    lg: float
+    __slots__ = ()
 
 
 def build_record(necklace, cross_check=False):
@@ -112,7 +107,7 @@ def build_record(necklace, cross_check=False):
     if cross_check:
         eig = geodesic_length_eigen(rep)
         rel = abs(lg - eig) / eig
-        if rel >= 1e-9:
+        if rel >= DUAL_LENGTH_TOL:
             raise AssertionError(
                 f"geodesic length mismatch for {rep}: {lg} vs {eig}"
             )
@@ -212,8 +207,7 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
     return 2.0 * math.fsum(partials) / total
 
 
-@dataclass(frozen=True)
-class ChatEstimate:
+class ChatEstimate(namedtuple("ChatEstimate", "A k c_k error_bound")):
     """Estimate of the ergodic constant c-hat at truncation depth k.
 
     c-hat lies in chat_interval = c_k +- error_bound.  From chat_estimate,
@@ -222,10 +216,7 @@ class ChatEstimate:
     interval and error_bound its half-width.
     """
 
-    A: int
-    k: int
-    c_k: float
-    error_bound: float
+    __slots__ = ()
 
     @property
     def sigma_g2(self):

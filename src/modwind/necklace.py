@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cfcore import as_word
@@ -58,19 +58,18 @@ def canonical_even_shift(word):
     return min(word[s:] + word[:s] for s in range(0, n, 2))
 
 
-@dataclass(frozen=True)
-class Necklace:
+class Necklace(namedtuple("Necklace", "rep")):
     """Canonical primitive representative of an even-shift class."""
 
-    rep: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        rep = as_word(self.rep)
+    def __new__(cls, rep):
+        rep = as_word(rep)
         if rep != canonical_even_shift(rep):
             raise ValueError("representative is not canonical")
         if not is_primitive(rep):
             raise ValueError("representative is not primitive")
-        object.__setattr__(self, "rep", rep)
+        return super().__new__(cls, rep)
 
     @property
     def n(self):
@@ -133,12 +132,8 @@ def pi_exact(A, N):
     return sum(count_Pn(A, n) for n in range(2, N + 1, 2))
 
 
-@dataclass(frozen=True)
-class CountReport:
-    A: int
-    N: int
-    exact: int
-    asymptotic: float
+class CountReport(namedtuple("CountReport", "A N exact asymptotic")):
+    __slots__ = ()
 
     @property
     def relative_error(self):

@@ -16,8 +16,7 @@ table normalizations run on Python ints and floats.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import accumulate, repeat
 from operator import sub, truediv
 
@@ -39,17 +38,15 @@ def check_grid(A, N):
                           f"of {GRID_CAP} cells")
 
 
-@dataclass(frozen=True)
-class HistConfig:
+class HistConfig(namedtuple("HistConfig", "lo hi bins")):
     """Fixed binning over [lo, hi] with explicit under/overflow cells."""
 
-    lo: float
-    hi: float
-    bins: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.hi > self.lo) or self.bins < 2:
+    def __new__(cls, lo, hi, bins):
+        if not (hi > lo) or bins < 2:
             raise ValueError("invalid histogram configuration")
+        return super().__new__(cls, lo, hi, bins)
 
     @property
     def width(self):
@@ -208,17 +205,9 @@ def _gaussian_cdfs(xs, sigma2):
     return [0.5 * (1.0 + math.erf(x / scale)) for x in xs]
 
 
-@dataclass
-class DistributionReport:
-    normalization: str
-    sigma2_target: float
-    ks: float
-    ks_error_bound: float
-    mean: float
-    variance: float
-    count: int
-    cdf_points: list = field(repr=False, default_factory=list)
-    cdf_targets: list = field(repr=False, default_factory=list)
+class DistributionReport(namedtuple("DistributionReport", "normalization sigma2_target ks "
+                                     "ks_error_bound mean variance count cdf_points cdf_targets")):
+    __slots__ = ()
 
 
 def ks_distance(acc, normalization, sigma2):

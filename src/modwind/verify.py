@@ -93,7 +93,7 @@ def check_dual_lengths(A, n_max):
             logsum = invariants.geodesic_length_logsum(nk.rep)
             eigen = invariants.geodesic_length_eigen(nk.rep)
             rel = abs(logsum - eigen) / eigen
-            if rel >= 1e-9:
+            if rel >= invariants.DUAL_LENGTH_TOL:
                 failures.append(f"{nk.rep}: |logsum-eigen| rel {rel:.3e}")
     return failures
 

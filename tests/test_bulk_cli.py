@@ -26,6 +26,7 @@ from modwind import bulk, cli, invariants, lattice, necklace, sigma_p2, stats, v
 from modwind.errors import BudgetError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DATACLASSES = ("dataclasses", "inspect")  # the numpy-free calls load neither
 
 
 def run_python(*argv, cwd=None, **env_vars):
@@ -876,21 +877,22 @@ class TestCliExitCodes:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("argv, expected, absent, present", [
-        (["count", "--A", "5", "--N", "12"], 0, ("numpy", "modwind.bulk", "modwind.verify"), ()),
-        (["--help"], 0, ("numpy", "modwind.bulk", "modwind.verify"), ()),
+        (["count", "--A", "5", "--N", "12"], 0,
+         ("numpy", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
+        (["--help"], 0, ("numpy", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
         (["dist", "--A", "1", "--N", "8", "--norm", "period"], 2,
-         ("numpy", "modwind.bulk", "modwind.verify"), ()),
+         ("numpy", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
         (["dist", "--A", "3", "--N", "4", "--norm", "period"], 0,
-         ("numpy", "modwind.bulk", "modwind.invariants", "modwind.svgplot", "modwind.verify"),
-         ("modwind.lattice",)),
+         ("numpy", "modwind.bulk", "modwind.invariants", "modwind.svgplot", "modwind.verify",
+          *DATACLASSES), ("modwind.lattice",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--svg"], 0,
-         ("numpy", "modwind.invariants", "modwind.verify"), ("modwind.svgplot",)),
+         ("numpy", "modwind.invariants", "modwind.verify", *DATACLASSES), ("modwind.svgplot",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "word"], 0,
-         ("numpy", "modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+         ("numpy", "modwind.bulk", "modwind.invariants", *DATACLASSES), ("modwind.lattice",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "maxn"], 0,
-         ("numpy", "modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+         ("numpy", "modwind.bulk", "modwind.invariants", *DATACLASSES), ("modwind.lattice",)),
         (["charfn", "--A", "3", "--N", "4", "--t", "1"], 0,
-         ("numpy", "modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+         ("numpy", "modwind.bulk", "modwind.invariants", *DATACLASSES), ("modwind.lattice",)),
         (["count", "--A", "3", "--N", "4", "--exact"], 0,
          ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--sample", "100"], 0,
@@ -898,7 +900,7 @@ class TestCliExitCodes:
         (["dist", "--A", "3", "--N", "4", "--norm", "word", "--sample", "100"], 0,
          ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
         (["dist", "--A", "1449", "--N", "2", "--norm", "period"], 4,
-         ("numpy", "modwind.bulk", "modwind.invariants"), ("modwind.lattice",)),
+         ("numpy", "modwind.bulk", "modwind.invariants", *DATACLASSES), ("modwind.lattice",)),
     ], ids=["count", "help", "usage-error", "dist", "dist-svg", "dist-word", "dist-maxn",
             "charfn", "count-exact", "dist-sample", "dist-sample-word", "dist-grid-cap"])
     def test_loads_only_its_modules(self, argv, expected, absent, present, tmp_path):

@@ -120,6 +120,7 @@ class TestSurd:
         a = QuadraticSurd(p, r * k, D, q)
         b = QuadraticSurd(p, r, D * k * k, q)
         assert a == b
+        assert not a != b
         assert hash(a) == hash(b)
 
 
