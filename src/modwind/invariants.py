@@ -33,7 +33,7 @@ def winding(word):
     word = as_word(word)
     if len(word) % 2 != 0:
         raise ValueError("winding needs an even-length word")
-    return sum(a if i % 2 == 0 else -a for i, a in enumerate(word))
+    return sum(word[::2]) - sum(word[1::2])
 
 
 def word_length(word):

@@ -24,11 +24,9 @@ def _divisors(n):
 def minimal_period(word):
     """Smallest divisor p of len(word) such that the word is p-periodic."""
     word = as_word(word)
-    n = len(word)
-    for d in _divisors(n):
-        if all(word[i] == word[i % d] for i in range(n)):
+    for d in _divisors(len(word)):
+        if word[d:] + word[:d] == word:
             return d
-    return n
 
 
 def is_primitive(word):
@@ -157,7 +155,7 @@ def enumerate_necklaces(A, N):
     """Every necklace of period length <= N.
 
     Reference implementation: scans all words of each even length in
-    lexicographic order and keeps the canonical primitive ones.
+    lexicographic order and keeps each one that Necklace accepts.
     """
     _check_bound(A)
     if N % 2 != 0:
@@ -165,8 +163,10 @@ def enumerate_necklaces(A, N):
     out = []
     for n in range(2, N + 1, 2):
         for word in itertools.product(range(1, A + 1), repeat=n):
-            if is_primitive(word) and word == canonical_even_shift(word):
+            try:
                 out.append(Necklace(word))
+            except ValueError:
+                pass
     return out
 
 

@@ -176,8 +176,8 @@ def _support(acc, normalization):
     Returns (xs, counts, fs, total): the increasing support points, the
     count at each, F at each and the number of geodesics.  Under period,
     maxn and word the points are the exact values; under geom they are lo
-    and the right edge of each bin, counts is the whole int64 histogram
-    and its last cell, the overflow, lies past the last point.  F is
+    and the right edge of each bin, counts is the whole histogram and its
+    last cell, the overflow, lies past the last point.  F is
     float(running count) / float(total), the rounding that cdf.csv and ks
     are pinned to (numpy's division of an int64 cumsum): past 2^53 counts
     the exact ratio can differ from it in the last digit.
@@ -186,14 +186,13 @@ def _support(acc, normalization):
     if total == 0:
         raise ValueError("empty accumulator")
     if normalization == GEOM:
-        import numpy as np
-        counts = _geom_counts(acc)
-        xs = acc.hist.lo + np.arange(acc.hist.bins + 1) * acc.hist.width
-        return xs.tolist(), counts, (np.cumsum(counts[:-1]) / total).tolist(), total
-    values = _table_values(acc, normalization)
-    xs = sorted(values)
-    counts = list(map(values.__getitem__, xs))
-    fs = list(map(truediv, map(float, accumulate(counts)), repeat(float(total))))
+        xs = [acc.hist.lo + i * acc.hist.width for i in range(acc.hist.bins + 1)]
+        counts = _geom_counts(acc).tolist()
+    else:
+        values = _table_values(acc, normalization)
+        xs = sorted(values)
+        counts = list(map(values.__getitem__, xs))
+    fs = list(map(truediv, map(float, accumulate(counts[:len(xs)])), repeat(float(total))))
     return xs, counts, fs, total
 
 
@@ -222,7 +221,7 @@ def ks_distance(acc, normalization, sigma2):
     ks = max(max(map(abs, map(sub, fs, targets))),
              max(map(abs, map(sub, [0.0, *fs[:-1]], targets))), 1.0 - fs[-1])
     if normalization == GEOM:
-        bound = (int(counts[1:-1].max()) + int(counts[0] + counts[-1])) / total
+        bound = (max(counts[1:-1]) + counts[0] + counts[-1]) / total
         mean = math.fsum(m[0] for m in acc.lg_sums.values()) / total
         var = math.fsum(m[1] for m in acc.lg_sums.values()) / total - mean * mean
     else:

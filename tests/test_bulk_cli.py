@@ -1050,6 +1050,47 @@ class TestCliVerify:
         assert "Lyndon key count != merged shard total" in err
         assert "shard total != pi_exact" not in err
 
+    def test_detects_dropped_merge(self, capsys, monkeypatch):
+        # negative control: bulk.run's merge tree losing its last shard
+        # must be caught
+        real = bulk._merge_in_order
+        monkeypatch.setattr(bulk, "_merge_in_order",
+                            lambda shards, total, progress:
+                            real(list(shards)[:-1], total - 1, progress))
+        code, out, err = run_cli(capsys, "verify", "--A", "2", "--N", "6")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        assert "shard_independence: FAIL" in err
+
+
+class TestVerifyScans:
+    """Each brute-force check enumerates the necklaces once and walks each
+    [A]^n once."""
+
+    @staticmethod
+    def _counting(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_necklace_counts(self, monkeypatch):
+        enumerations = self._counting(monkeypatch, necklace, "enumerate_necklaces")
+        scans = self._counting(monkeypatch, verify, "_all_words")
+        assert verify.check_necklace_counts(3, 8) == []
+        assert enumerations == [(3, 8)]
+        assert scans == [(3, 2), (3, 4), (3, 6), (3, 8)]
+
+    def test_dual_lengths(self, monkeypatch):
+        enumerations = self._counting(monkeypatch, necklace, "enumerate_necklaces")
+        assert verify.check_dual_lengths(3, 6) == []
+        assert enumerations == [(3, 6)]
+
 
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")

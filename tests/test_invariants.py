@@ -35,6 +35,10 @@ class TestWinding:
         with pytest.raises(ValueError):
             winding((1, 2, 3))
 
+    def test_matches_alternating_sum(self):
+        for w in itertools.product(range(1, 5), repeat=8):
+            assert winding(w) == sum(a if i % 2 == 0 else -a for i, a in enumerate(w))
+
     def test_even_shift_invariance_exhaustive(self):
         for w in itertools.product(range(1, 4), repeat=6):
             for s in range(0, 6, 2):

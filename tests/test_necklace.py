@@ -42,6 +42,18 @@ class TestMinimalPeriod:
             for w in all_words(2, n):
                 assert n % minimal_period(w) == 0
 
+    def test_matches_index_scan(self):
+        # the definition: the least divisor d of n with word[i] == word[i % d]
+        def scan(w):
+            n = len(w)
+            return next(d for d in range(1, n + 1)
+                        if n % d == 0 and all(w[i] == w[i % d] for i in range(n)))
+
+        for A, n_max in ((2, 12), (3, 8), (4, 6)):
+            for n in range(1, n_max + 1):
+                for w in all_words(A, n):
+                    assert minimal_period(w) == scan(w)
+
 
 class TestPrimitivity:
     def test_examples(self):
@@ -177,6 +189,13 @@ class TestEnumerate:
                 for n in range(2, N + 1, 2):
                     want |= brute_classes(A, n)
                 assert got == want
+
+    def test_list_matches_filtered_scan(self):
+        for A, N in ((2, 12), (3, 8), (4, 6)):
+            want = [Necklace(w)
+                    for n in range(2, N + 1, 2) for w in all_words(A, n)
+                    if is_primitive(w) and w == canonical_even_shift(w)]
+            assert enumerate_necklaces(A, N) == want
 
 
 class TestSampling:
