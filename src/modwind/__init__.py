@@ -14,15 +14,21 @@ GEOM = "geom"
 NORMALIZATIONS = (PERIOD, MAXN, WORD, GEOM)
 
 
+def check_bound(A, N=None):
+    """Raise ValueError unless A > 1 and, when N is given, N is even and >= 2."""
+    if A <= 1:
+        raise ValueError(f"A must exceed 1, got {A}")
+    if N is not None and (N < 2 or N % 2):
+        raise ValueError(f"N must be even and >= 2, got {N}")
+
+
 def sigma_p2(A):
     """Variance (A^2 - 1) / 12 of the period-length normalization."""
-    if A <= 1:
-        raise ValueError("A must exceed 1")
+    check_bound(A)
     return Fraction(A * A - 1, 12)
 
 
 def sigma_w2(A):
     """Variance (A - 1) / 12 of the word-length normalization."""
-    if A <= 1:
-        raise ValueError("A must exceed 1")
+    check_bound(A)
     return Fraction(A - 1, 12)

@@ -15,14 +15,15 @@ from collections import namedtuple
 from fractions import Fraction
 
 
-def as_word(digits):
-    """Validate and normalize a digit sequence into a word tuple."""
-    word = tuple(int(d) for d in digits)
+def as_word(digits, even=False):
+    """Validate and normalize a digit sequence into a word tuple, of even length if even."""
+    word = tuple(map(int, digits))
     if not word:
         raise ValueError("word must be nonempty")
-    for d in word:
-        if d < 1:
-            raise ValueError(f"partial quotient {d} < 1")
+    if min(word) < 1:
+        raise ValueError(f"partial quotient {next(d for d in word if d < 1)} < 1")
+    if even and len(word) % 2:
+        raise ValueError(f"word of odd length {len(word)}")
     return word
 
 

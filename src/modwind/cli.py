@@ -144,7 +144,8 @@ def build_parser():
     p = sub.add_parser("constants", help="variance constants and ergodic estimate")
     common(p, with_n=False)
     p.add_argument("--tol", type=_tolerance, default=1e-3,
-                   help="largest Fibonacci bound 2/F_k^2 on |c-hat - c_k|")
+                   help="largest Fibonacci bound 2/F_k^2 on |c-hat - c_k|; the depth k "
+                        "is at least 3")
 
     p = sub.add_parser("charfn", help="empirical characteristic function")
     common(p)

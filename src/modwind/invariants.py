@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import sigma_p2
+from . import check_bound, sigma_p2
 from .cfcore import (
     MatrixZ,
     as_word,
@@ -30,17 +30,13 @@ DUAL_LENGTH_TOL = 1e-9  # largest relative gap allowed between the two routes
 
 def winding(word):
     """Alternating sum a1 - a2 + a3 - ... - an of an even-length word."""
-    word = as_word(word)
-    if len(word) % 2 != 0:
-        raise ValueError("winding needs an even-length word")
+    word = as_word(word, even=True)
     return sum(word[::2]) - sum(word[1::2])
 
 
 def word_length(word):
     """Length 2 * sum(a_i) of the group element in the S, M generators."""
-    word = as_word(word)
-    if len(word) % 2 != 0:
-        raise ValueError("word length needs an even-length word")
+    word = as_word(word, even=True)
     return 2 * sum(word)
 
 
@@ -52,7 +48,6 @@ def _rotation_matrices(word):
     M(a)^-1 = [[0, 1], [1, -a]].  Each matrix is the same exact integer
     matrix as matrix_of_word of the rotation, at O(1) cost instead of O(n).
     """
-    word = as_word(word)
     m = matrix_of_word(word)
     for a in word:
         m = MatrixZ(0, 1, 1, -a) @ m @ MatrixZ(a, 1, 1, 0)
@@ -66,10 +61,7 @@ def geodesic_length_logsum(word):
     all rotations share the same discriminant, so one square root serves
     the whole orbit.
     """
-    word = as_word(word)
-    n = len(word)
-    if n % 2 != 0:
-        raise ValueError("geodesic length needs an even-length word")
+    word = as_word(word, even=True)
     from mpmath import mp
 
     with mp.workprec(PRECISION + 16):
@@ -85,9 +77,7 @@ def geodesic_length_logsum(word):
 
 def geodesic_length_eigen(word):
     """2 * log of the larger eigenvalue of the word's matrix."""
-    word = as_word(word)
-    if len(word) % 2 != 0:
-        raise ValueError("geodesic length needs an even-length word")
+    word = as_word(word, even=True)
     from mpmath import mp
 
     with mp.workprec(PRECISION + 16):
@@ -159,8 +149,7 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
     block of products 2^15, whatever A^k is (an A above 2^20 takes its
     last digit in tables of 2^20); budget caps the A^k words evaluated.
     """
-    if A <= 1:
-        raise ValueError("A must exceed 1")
+    check_bound(A)
     if k < 1:
         raise ValueError("truncation depth must be positive")
     total = A**k
@@ -246,10 +235,13 @@ class ChatEstimate(namedtuple("ChatEstimate", "A k c_k error_bound")):
 
 
 def chat_estimate(A, tol, budget=DEFAULT_WORD_BUDGET):
-    """Smallest-depth estimate whose Cauchy bound 2/F_k^2 meets tol."""
+    """Estimate at the smallest depth k >= 3 whose Cauchy bound 2/F_k^2 meets tol."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    k = 1
+    # Depth 3 at least, so that c_k - 2/F_k^2 > 0 and the sigma_g^2 interval
+    # is finite and positive: [a_1; ...] >= a_1 gives every c_k >= 2 log(A!)/A
+    # >= log 2 > 1/2 = 2/F_3^2 for A >= 2, while 2/F_1^2 = 2/F_2^2 = 2.
+    k = 3
     while 2.0 / fibonacci(k) ** 2 > tol:
         k += 1
     if A**k > budget:

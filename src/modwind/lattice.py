@@ -17,6 +17,7 @@ from collections import Counter
 from itertools import accumulate
 from operator import add
 
+from . import check_bound
 from .errors import BudgetError
 from .necklace import mobius
 from .stats import check_grid
@@ -40,8 +41,7 @@ def table(A, N, progress=None):
     the table `bulk.run(A, N).table` enumerates; progress(i, N // 2) after
     each period length.  Raises BudgetError, before building anything,
     past the grid cap or at A^N >= 2^62."""
-    if A < 2 or N < 2 or N % 2:
-        raise ValueError("need A >= 2 and even N >= 2")
+    check_bound(A, N)
     check_grid(A, N)
     # The counts are exact Python ints at any size, but the route stops at
     # the int64 range, every count and partial Moebius sum below

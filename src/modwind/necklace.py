@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from . import check_bound
 from .cfcore import as_word
 
 
@@ -36,24 +37,15 @@ def is_primitive(word):
     one exception: when n/2 is odd, minimal period n/2 also counts (the
     doubled period is then the minimal *even* period).
     """
-    word = as_word(word)
-    n = len(word)
-    if n % 2 != 0:
-        raise ValueError("primitivity is defined for even-length words")
+    word = as_word(word, even=True)
     p = minimal_period(word)
-    if p == n:
-        return True
-    half = n // 2
-    return half % 2 == 1 and p == half
+    return p == len(word) or (p % 2 == 1 and 2 * p == len(word))
 
 
 def canonical_even_shift(word):
     """Lexicographically smallest rotation among the even cyclic shifts."""
-    word = as_word(word)
-    n = len(word)
-    if n % 2 != 0:
-        raise ValueError("even-shift canonicalization needs even length")
-    return min(word[s:] + word[:s] for s in range(0, n, 2))
+    word = as_word(word, even=True)
+    return min(word[s:] + word[:s] for s in range(0, len(word), 2))
 
 
 class Necklace(namedtuple("Necklace", "rep")):
@@ -92,17 +84,12 @@ def mobius(k):
     return result
 
 
-def _check_bound(A):
-    if A <= 1:
-        raise ValueError("alphabet bound A must exceed 1")
-
-
 def count_min_period(A, n):
     """Exact number of words in [A]^n whose minimal period is n.
 
     Moebius inversion of sum_{k|n} f(k) = A^n.
     """
-    _check_bound(A)
+    check_bound(A)
     if n < 1:
         raise ValueError("n must be positive")
     return sum(mobius(k) * A ** (n // k) for k in _divisors(n))
@@ -115,18 +102,14 @@ def count_Pn(A, n):
     over the A^2 digit pairs: the aperiodic pair-words, n/2 rotations to
     a class.
     """
-    _check_bound(A)
-    if n < 2 or n % 2 != 0:
-        raise ValueError("period length must be even and >= 2")
+    check_bound(A, n)
     half = n // 2
     return count_min_period(A * A, half) // half
 
 
 def pi_exact(A, N):
     """Exact number of necklaces of period length <= N."""
-    _check_bound(A)
-    if N < 2 or N % 2 != 0:
-        raise ValueError("N must be even and >= 2")
+    check_bound(A, N)
     return sum(count_Pn(A, n) for n in range(2, N + 1, 2))
 
 
@@ -157,9 +140,7 @@ def enumerate_necklaces(A, N):
     Reference implementation: scans all words of each even length in
     lexicographic order and keeps each one that Necklace accepts.
     """
-    _check_bound(A)
-    if N % 2 != 0:
-        raise ValueError("N must be even")
+    check_bound(A, N)
     out = []
     for n in range(2, N + 1, 2):
         for word in itertools.product(range(1, A + 1), repeat=n):

@@ -21,6 +21,7 @@ from itertools import accumulate, repeat
 from operator import sub, truediv
 
 from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, sigma_p2  # noqa: F401  (re-exported)
+from . import check_bound
 from .errors import BudgetError
 
 GRID_CAP = 1 << 24
@@ -71,8 +72,7 @@ class JointCounts:
     """
 
     def __init__(self, A, N, hist=None):
-        if A <= 1 or N < 2 or N % 2 != 0:
-            raise ValueError("need A > 1 and even N >= 2")
+        check_bound(A, N)
         self.A = A
         self.N = N
         self.hist = hist if hist is not None else default_hist(A)

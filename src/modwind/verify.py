@@ -122,7 +122,7 @@ def check_lattice_table(A, N, enumerated):
 
 # The longest words the brute-force scans walk, and the words they may
 # walk in all: in pure Python, run_suite(5, 8), 4.9e5 words, takes about
-# 11 s on a 2-core x86_64 machine.
+# 8 s on a 2-core x86_64 machine.
 SCAN_LENGTH = 10
 VERIFY_CAP = 10**6
 

@@ -691,6 +691,18 @@ class TestCliConstants:
         # best-effort estimate still reported
         assert json.loads(out)["k"] <= 2
 
+    @pytest.mark.parametrize("tol", ["2", "10", "1e300"])
+    @pytest.mark.parametrize("A", range(2, 7))
+    def test_loose_tolerance_brackets_limit(self, capsys, A, tol):
+        # Depth 1's bound 2/F_1^2 = 2 exceeds c_1 = 2 log(A!)/A for A <= 5,
+        # which would put the upper end of the interval below zero.
+        code, out, _ = run_cli(capsys, "constants", "--A", str(A), "--tol", tol)
+        assert code == 0
+        lo, hi = json.loads(out)["sigma_g2_interval"]
+        assert 0 < lo < hi
+        chat = invariants.chat_two_tail(A, 1e-6).c_k
+        assert lo <= float(sigma_p2(A)) / chat <= hi
+
 
 class TestCliCharfn:
     def test_values(self, capsys):
@@ -1139,4 +1151,7 @@ class TestCliSweep:
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         if code == 0:
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            if command == "constants":
+                lo, hi = payload["sigma_g2_interval"]
+                assert 0 < lo < hi, argv
