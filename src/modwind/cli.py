@@ -2,10 +2,11 @@
 
 Machine-readable JSON goes to stdout; progress lines go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O,
-4 resource budget exceeded: the module doing the work raises BudgetError
-before it starts, and main reports it.  Each command imports the modules
-it calls when it runs.  Only enumeration and sampling (`bulk`), c-hat and
-the geometric lengths (`invariants`) and the geom histograms load numpy:
+4 resource budget exceeded: each route raises BudgetError before the work
+starts, and main reports it (`constants` reports its own, with the best
+estimate within the cap).  Each command imports the modules it calls when
+it runs.  Only enumeration and sampling (`bulk`), c-hat and the geometric
+lengths (`invariants`) and the geom histograms load numpy:
 `count`, the exact-table routes (`dist` under period, maxn and word, and
 `charfn`), `--help` and usage errors run without it.
 """
@@ -145,7 +146,7 @@ def build_parser():
     common(p, with_n=False)
     p.add_argument("--tol", type=_tolerance, default=1e-3,
                    help="largest Fibonacci bound 2/F_k^2 on |c-hat - c_k|; the depth k "
-                        "is at least 3")
+                        "is at least 1 for A >= 6 and at least 3 for A <= 5")
 
     p = sub.add_parser("charfn", help="empirical characteristic function")
     common(p)
@@ -197,8 +198,7 @@ def cmd_dist(args):
     from . import stats
     # One histogram row of bins + 2 cells per period length.
     if args.N // 2 * (args.bins + 2) > stats.GRID_CAP:
-        print("histogram exceeds the grid cap; use fewer --bins", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise BudgetError("histogram exceeds the grid cap; use fewer --bins")
     hist = stats.default_hist(args.A, args.bins)
     # The draws' or the enumeration's price, then ĉ's budget, before any work.
     if args.sample is not None:

@@ -120,7 +120,7 @@ def fibonacci(k):
     return a
 
 
-DEFAULT_WORD_BUDGET = 50_000_000
+WORD_BUDGET = 50_000_000  # most words a c_k average evaluates
 # Entries in ck_constant's suffix table, and in each block of values it
 # folds into products.
 _TABLE = 1 << 20
@@ -129,7 +129,7 @@ _BLOCK = 1 << 15
 _PRODUCT_BITS = 256
 
 
-def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
+def ck_constant(A, k, tail=None):
     """Truncated ergodic average (2 / A^k) * sum over [A]^k of log(value).
 
     The value of a word a_1 ... a_k is its finite continued fraction
@@ -147,14 +147,14 @@ def ck_constant(A, k, budget=DEFAULT_WORD_BUDGET, tail=None):
     block of products adds the pairwise sum of its logs, and the partials
     are combined with fsum.  The table holds at most 2^20 floats and each
     block of products 2^15, whatever A^k is (an A above 2^20 takes its
-    last digit in tables of 2^20); budget caps the A^k words evaluated.
+    last digit in tables of 2^20); WORD_BUDGET caps the A^k words evaluated.
     """
     check_bound(A)
     if k < 1:
         raise ValueError("truncation depth must be positive")
     total = A**k
-    if total > budget:
-        raise BudgetError(f"A^k = {total} exceeds word budget {budget}")
+    if total > WORD_BUDGET:
+        raise BudgetError(f"A^k = {total} exceeds word budget {WORD_BUDGET}")
     m = 1
     while m < k and A ** (m + 1) <= _TABLE:
         m += 1
@@ -234,34 +234,30 @@ class ChatEstimate(namedtuple("ChatEstimate", "A k c_k error_bound")):
         return (s / hi, s / lo)
 
 
-def chat_estimate(A, tol, budget=DEFAULT_WORD_BUDGET):
-    """Estimate at the smallest depth k >= 3 whose Cauchy bound 2/F_k^2 meets tol."""
+def chat_estimate(A, tol):
+    """Estimate at the smallest depth k whose Cauchy bound 2/F_k^2 meets tol:
+    k >= 1 for A >= 6 and k >= 3 below, so that the sigma_g^2 interval is positive."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    # Depth 3 at least, so that c_k - 2/F_k^2 > 0 and the sigma_g^2 interval
-    # is finite and positive: [a_1; ...] >= a_1 gives every c_k >= 2 log(A!)/A
-    # >= log 2 > 1/2 = 2/F_3^2 for A >= 2, while 2/F_1^2 = 2/F_2^2 = 2.
-    k = 3
+    # The interval is positive where c_k > 2/F_k^2.  [a_1; ...] >= a_1 gives
+    # every c_k >= c_1 = 2 log(A!)/A; 2/F_1^2 = 2/F_2^2 = 2 is below c_1
+    # exactly when A >= 6, and 2/F_3^2 = 1/2 < log 2 <= c_1 for every A >= 2.
+    k = 1 if math.lgamma(A + 1) > A else 3
     while 2.0 / fibonacci(k) ** 2 > tol:
         k += 1
-    if A**k > budget:
-        if A > budget:
-            raise BudgetError(f"A = {A} words at depth 1 exceed word budget {budget}")
-        best_k = max(j for j in range(1, k) if A**j <= budget)
-        best = ChatEstimate(
-            A=A,
-            k=best_k,
-            c_k=ck_constant(A, best_k, budget),
-            error_bound=2.0 / fibonacci(best_k) ** 2,
-        )
+    j = k
+    while j and A**j > WORD_BUDGET:
+        j -= 1
+    if not j:
+        raise BudgetError(f"A = {A} words at depth 1 exceed word budget {WORD_BUDGET}")
+    est = ChatEstimate(A=A, k=j, c_k=ck_constant(A, j), error_bound=2.0 / fibonacci(j) ** 2)
+    if j < k:
         raise BudgetError(
-            f"depth {k} needs A^k = {A**k} words (budget {budget}); "
-            f"best achievable bound is {best.error_bound}",
-            best=best,
+            f"depth {k} needs A^k = {A**k} words (budget {WORD_BUDGET}); "
+            f"best achievable bound is {est.error_bound}",
+            best=est,
         )
-    return ChatEstimate(
-        A=A, k=k, c_k=ck_constant(A, k, budget), error_bound=2.0 / fibonacci(k) ** 2
-    )
+    return est
 
 
 # Float rounding of ck_constant, relative to 1 + c (u = 2^-53).  The table
@@ -282,7 +278,7 @@ def chat_estimate(A, tol, budget=DEFAULT_WORD_BUDGET):
 _ROUNDING = 2.0**-32
 
 
-def two_tail_bounds(A, k, budget=DEFAULT_WORD_BUDGET):
+def two_tail_bounds(A, k):
     """Rigorous (lo, hi) around c-hat from the A^k prefixes of depth k.
 
     With i.i.d. uniform digits, c-hat = 2 E[log [a_1; ..., a_k, w]], where
@@ -293,17 +289,17 @@ def two_tail_bounds(A, k, budget=DEFAULT_WORD_BUDGET):
     of the tail's range bounds c-hat below and above.  The float rounding
     of both averages is padded outward (see _ROUNDING).
     """
-    lo, hi = sorted(ck_constant(A, k, budget, tail) for tail in (1.0 + 1.0 / (A + 1), A + 1.0))
+    lo, hi = sorted(ck_constant(A, k, tail) for tail in (1.0 + 1.0 / (A + 1), A + 1.0))
     pad = _ROUNDING * (1.0 + hi)
     return lo - pad, hi + pad
 
 
-def chat_two_tail(A, tol, budget=DEFAULT_WORD_BUDGET):
+def chat_two_tail(A, tol):
     """Smallest-depth two-tail interval for c-hat whose width is <= tol.
 
     Depth k costs 2 A^k words (k = 5 at A = 5 and tol 1e-3, where the
     Fibonacci rule of chat_estimate needs 5^10).  Raises BudgetError when
-    the next depth would pass budget words.
+    the next depth would pass WORD_BUDGET words.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -311,15 +307,15 @@ def chat_two_tail(A, tol, budget=DEFAULT_WORD_BUDGET):
         # Every padded interval is at least 2 _ROUNDING wide.
         raise BudgetError(f"tolerance {tol} is below the rounding floor {2 * _ROUNDING}")
     k = 1
-    lo, hi = two_tail_bounds(A, k, budget)
+    lo, hi = two_tail_bounds(A, k)
     while hi - lo > tol:
         k += 1
-        if A**k > budget:
+        if A**k > WORD_BUDGET:
             raise BudgetError(
-                f"depth {k} needs A^k = {A**k} words (budget {budget}); "
+                f"depth {k} needs A^k = {A**k} words (budget {WORD_BUDGET}); "
                 f"the interval for c-hat at depth {k - 1} is {hi - lo} wide"
             )
-        lo, hi = two_tail_bounds(A, k, budget)
+        lo, hi = two_tail_bounds(A, k)
     mid = 0.5 * (lo + hi)
     # c_k +- error_bound, rounded to nearest, still contains [lo, hi].
     half = math.nextafter(max(mid - lo, hi - mid), math.inf)

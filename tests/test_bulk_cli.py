@@ -682,10 +682,7 @@ class TestCliConstants:
         assert lo < payload["sigma_g2"] < hi
 
     def test_budget_exhausted(self, capsys, monkeypatch):
-        real = invariants.chat_estimate
-        monkeypatch.setattr(
-            invariants, "chat_estimate", lambda A, tol: real(A, tol, budget=100)
-        )
+        monkeypatch.setattr(invariants, "WORD_BUDGET", 100)
         code, out, err = run_cli(capsys, "constants", "--A", "5", "--tol", "1e-9")
         assert code == 4
         # best-effort estimate still reported
@@ -702,6 +699,19 @@ class TestCliConstants:
         assert 0 < lo < hi
         chat = invariants.chat_two_tail(A, 1e-6).c_k
         assert lo <= float(sigma_p2(A)) / chat <= hi
+
+    @pytest.mark.parametrize("A, k", [(2, 3), (5, 3), (6, 1), (10, 1), (369, 1), (400, 1)])
+    def test_loose_tolerance_depth(self, capsys, A, k):
+        # Depth 1's bound 2 is below c_1 = 2 log(A!)/A exactly when A >= 6,
+        # so the search starts there; A >= 369 would pass the word budget
+        # at depth 3.
+        code, out, _ = run_cli(capsys, "constants", "--A", str(A), "--tol", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k"] == k
+        lo, hi = payload["sigma_g2_interval"]
+        chat = invariants.chat_two_tail(A, 0.05).c_k
+        assert 0 < lo <= float(sigma_p2(A)) / chat <= hi
 
 
 class TestCliCharfn:
@@ -782,7 +792,9 @@ class TestCliExitCodes:
     ]] + [
         # the closed-form count, priced before A^N is formed
         (["count", "--A", "5", "--N", "100000000"], "float range"),
-    ], ids=[f"argv{i}" for i in range(10)])
+        # the l_g histogram, priced before any other work
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000"], "cap"),
+    ], ids=[f"argv{i}" for i in range(11)])
     def test_work_cap_stops_early(self, argv, refusal, capsys, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the refusal")

@@ -1,4 +1,5 @@
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -36,3 +37,15 @@ def test_readme_library_block(tmp_path):
     assert "from modwind import" in block
     run_python("-c", block, cwd=tmp_path)
 
+
+def test_readme_cli_block(tmp_path):
+    # Each command of the README's `## Command line` block, run through
+    # python -m against src/.
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "modwind" for argv in commands)
+    for argv in commands:
+        run_python("-m", "modwind.cli", *argv[1:], cwd=tmp_path)

@@ -166,7 +166,7 @@ class TestFibonacci:
         ]
 
 
-def _ck_continuants(A, k, budget=invariants.DEFAULT_WORD_BUDGET, tail=None):
+def _ck_continuants(A, k, budget=invariants.WORD_BUDGET, tail=None):
     """Per-word c_k: the exact int64 continuants of every word, in chunks,
     and one log per word."""
     if A <= 1:
@@ -245,15 +245,15 @@ class TestCkConstant:
         assert ck_constant(A, k, tail=tail) == pytest.approx(
             _ck_continuants(A, k, tail=tail), rel=1e-13)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         with pytest.raises(BudgetError):
             ck_constant(5, 30)
         for A, k in ((2, 21), (5, 9), (7, 3)):
-            assert ck_constant(A, k, budget=A**k) == pytest.approx(
-                _ck_continuants(A, k), rel=1e-13
-            )
+            monkeypatch.setattr(invariants, "WORD_BUDGET", A**k)
+            assert ck_constant(A, k) == pytest.approx(_ck_continuants(A, k), rel=1e-13)
+            monkeypatch.setattr(invariants, "WORD_BUDGET", A**k - 1)
             with pytest.raises(BudgetError):
-                ck_constant(A, k, budget=A**k - 1)
+                ck_constant(A, k)
 
 
 class TestChatEstimate:
@@ -277,9 +277,10 @@ class TestChatEstimate:
         later = ck_constant(2, est.k + 3)
         assert abs(est.c_k - later) <= est.error_bound
 
-    def test_budget_carries_best(self):
+    def test_budget_carries_best(self, monkeypatch):
+        monkeypatch.setattr(invariants, "WORD_BUDGET", 10**4)
         with pytest.raises(BudgetError) as exc:
-            chat_estimate(5, 1e-9, budget=10**4)
+            chat_estimate(5, 1e-9)
         best = exc.value.best
         assert best is not None and best.A == 5
         assert 5**best.k <= 10**4
@@ -343,17 +344,18 @@ class TestChatTwoTail:
     def test_budget_stops_before_the_next_depth(self, monkeypatch):
         real, depths = invariants.ck_constant, []
 
-        def recording(A, k, budget, tail=None):
+        def recording(A, k, tail=None):
             depths.append(k)
-            return real(A, k, budget, tail)
+            return real(A, k, tail)
 
         monkeypatch.setattr(invariants, "ck_constant", recording)
+        monkeypatch.setattr(invariants, "WORD_BUDGET", 10**4)
         with pytest.raises(BudgetError) as exc:
-            chat_two_tail(5, 1e-9, budget=10**4)
+            chat_two_tail(5, 1e-9)
         assert exc.value.best is None
         assert max(depths) == 5  # 5^5 <= 10^4 < 5^6: nothing past the budget
         with pytest.raises(BudgetError):
-            chat_two_tail(10**4 + 1, 1.0, budget=10**4)
+            chat_two_tail(10**4 + 1, 1.0)
         with pytest.raises(ValueError):
             chat_two_tail(5, 0.0)
         depths.clear()
