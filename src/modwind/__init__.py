@@ -4,14 +4,15 @@ from fractions import Fraction
 
 __version__ = "0.1.0"
 
-# Normalizations of the winding number and the variances of the lattice
-# ones, defined here so that the cli and stats load neither numpy nor
-# invariants for them.
+# Normalizations of the winding number, the default bin count of the
+# geom one's l_g histograms and the variances of the lattice ones, defined
+# here so that the cli and stats load neither numpy nor invariants for them.
 PERIOD = "period"
 MAXN = "maxn"
 WORD = "word"
 GEOM = "geom"
 NORMALIZATIONS = (PERIOD, MAXN, WORD, GEOM)
+BINS = 8192
 
 
 def check_bound(A, N=None):

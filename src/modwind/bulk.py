@@ -49,7 +49,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import necklace
+from . import BINS, necklace
 from .errors import BudgetError
 from .stats import JointCounts, check_grid, grid_cells, merge
 
@@ -75,6 +75,11 @@ _POOL_START_S = 0.05
 # the slower of the two traces.
 _DRAW_S = 1e-6
 _DIGIT_S = 50e-9
+# Serial seconds per bit of `sample`'s exact length weights, the running
+# sums of count_Pn(A, n), N^2 log2(A) / 4 bits: 57 s and 0.46 GB for 3e9
+# bits at A = 79 000, N = 27 000, about the costliest shape the cap admits.
+# One draw at A = 2 is refused from N = 109 540 (13 s and 0.43 GB below).
+_WEIGHT_BIT_S = 20e-9
 
 
 def _check_feasible(A, N):
@@ -302,9 +307,9 @@ def _accumulate_block(acc, n, psi, lw, lg):
         cells, counts = np.unique(comp - low, return_counts=True)
     row = acc._hist_row(n)
     x = psi / np.sqrt(lg)
-    idx = np.floor((x - acc.hist.lo) / acc.hist.width).astype(np.int64)
-    np.clip(idx, -1, acc.hist.bins, out=idx)
-    row += np.bincount(idx + 1, minlength=acc.hist.bins + 2)
+    idx = np.floor((x - acc.lo) / acc.width).astype(np.int64)
+    np.clip(idx, -1, acc.bins, out=idx)
+    row += np.bincount(idx + 1, minlength=acc.bins + 2)
     rg = lg / n
     acc.lg_sums[n] += (x.sum(), (x * x).sum(), rg.sum(), (rg * rg).sum())
     return cells + low, counts
@@ -336,12 +341,12 @@ def _check_lengths(acc, words, lg):
         acc.check_max_rel = max(acc.check_max_rel, rel)
 
 
-def run_shard(A, N, n, lo, hi, hist=None, check_rate=0):
+def run_shard(A, N, n, lo, hi, bins=BINS, check_rate=0):
     """Accumulate the necklaces among candidates lo..hi-1 of period length
     n; every check_rate-th word of a block, decoded from its key, is
     checked against the mpmath lengths."""
     _check_feasible(A, N)
-    acc = JointCounts(A, N, hist)
+    acc = JointCounts(A, N, bins)
     blocks = []
     for keys, psi, lw, trace in _lyndon_blocks(A, n, lo, hi):
         if keys.size:
@@ -422,7 +427,7 @@ def _merge_in_order(shards, total, progress):
     return result
 
 
-def run(A, N, hist=None, threads=1, check_rate=0, progress=None):
+def run(A, N, bins=BINS, threads=1, check_rate=0, progress=None):
     """Full enumeration, one shard per range of shard_ranges; returns the
     merged accumulator.
 
@@ -430,7 +435,7 @@ def run(A, N, hist=None, threads=1, check_rate=0, progress=None):
     the thread count.
     """
     ranges = shard_ranges(A, N)
-    jobs = [(A, N, *r, hist, check_rate) for r in ranges]
+    jobs = [(A, N, *r, bins, check_rate) for r in ranges]
     shards = _map_in_order(_worker, jobs, threads, _RUN_S * _candidates(ranges))
     return _merge_in_order(shards, len(jobs), progress)
 
@@ -459,25 +464,26 @@ def _aperiodic(block):
     n = block.shape[1]
     m = n // 2
     keep = np.ones(len(block), dtype=bool)
-    for s in range(1, m):
-        if m % s == 0:
-            keep &= (block[:, 2 * s:] != block[:, :-2 * s]).any(axis=1)
+    for s in necklace._divisors(m)[:-1]:
+        keep &= (block[:, 2 * s:] != block[:, :-2 * s]).any(axis=1)
     return keep
 
 
 def check_sample(A, N, count):
     """Raise BudgetError when `count` draws of period length <= N pass the
-    int64 grid or the serial time WORK_CAP allows enumeration."""
+    int64 grid, or they and their length weights pass the serial time
+    WORK_CAP allows enumeration."""
     # _accumulate_block keys a word by its int64 (psi, lw) grid cell.
     if grid_cells(A, N) >= 1 << 63:
         raise BudgetError(f"the (psi, lw) grid of A={A}, N={N} passes the int64 cap "
                           f"of 2^63 cells")
-    if count * (_DRAW_S + _DIGIT_S * N) > WORK_CAP * _RUN_S:
-        raise BudgetError(f"{count} draws at A={A}, N={N} pass the work cap of "
-                          f"{WORK_CAP * _RUN_S:.0f} s of serial sampling")
+    weights_s = _WEIGHT_BIT_S * N * N / 4 * math.log2(A)
+    if count * (_DRAW_S + _DIGIT_S * N) + weights_s > WORK_CAP * _RUN_S:
+        raise BudgetError(f"{count} draws at A={A}, N={N} and their length weights pass "
+                          f"the work cap of {WORK_CAP * _RUN_S:.0f} s of serial sampling")
 
 
-def sample(A, N, count, seed, hist=None, check_rate=0):
+def sample(A, N, count, seed, bins=BINS, check_rate=0):
     """Accumulate `count` independent uniform draws from the necklaces of
     period length <= N.
 
@@ -486,23 +492,25 @@ def sample(A, N, count, seed, hist=None, check_rate=0):
     N.  The draws of each n are uniform words on [A]^n, made in numpy
     blocks of at most _CHUNK digits, keeping the words whose pair-word is
     aperiodic.  The result depends on the seed alone.  check_sample
-    prices the draws before the first.
+    prices the draws and their length weights before forming either.
     """
     check_sample(A, N, count)
-    lengths = range(2, N + 1, 2)
-    weights = [necklace.count_Pn(A, n) for n in lengths]
-    bounds = list(itertools.accumulate(weights))
+    # Only the running sums from 0: length 2i, drawn when bisect gives i,
+    # has weight bounds[i] - bounds[i - 1].
+    bounds = list(itertools.accumulate(
+        (necklace.count_Pn(A, n) for n in range(2, N + 1, 2)), initial=0))
     rng = random.Random(seed)
     draws = Counter(bisect.bisect_right(bounds, rng.randrange(bounds[-1]))
                     for _ in range(count))
     words = np.random.default_rng(rng.getrandbits(128))
     dtype = np.min_scalar_type(A)
-    acc = JointCounts(A, N, hist)
-    for i, n in enumerate(lengths):
-        need = draws[i]
+    acc = JointCounts(A, N, bins)
+    # Only the drawn lengths, in increasing order.
+    for i, need in sorted(draws.items()):
+        n = 2 * i
         signs = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
         # Share of [A]^n that is kept: n/2 words of each necklace.
-        kept = weights[i] * (n // 2) / A**n
+        kept = (bounds[i] - bounds[i - 1]) * (n // 2) / A**n
         while need:
             size = min(max(1, _CHUNK // n), math.ceil(need / kept))
             block = words.integers(1, A, size=(size, n), endpoint=True, dtype=dtype)

@@ -21,7 +21,7 @@ import os
 import sys
 from importlib import import_module
 
-from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, necklace, sigma_p2, sigma_w2
+from . import BINS, GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, necklace, sigma_p2, sigma_w2
 from .errors import BudgetError
 
 EXIT_OK = 0
@@ -131,7 +131,7 @@ def build_parser():
     p = sub.add_parser("dist", help="empirical distribution vs Gaussian")
     common(p)
     p.add_argument("--norm", choices=NORMALIZATIONS, required=True)
-    p.add_argument("--bins", type=_int_at_least(2), default=8192)
+    p.add_argument("--bins", type=_int_at_least(2), default=BINS)
     threads(p)
     p.add_argument("--tol", type=_tolerance, default=1e-3,
                    help="geom normalization: largest width of the rigorous two-tail "
@@ -196,10 +196,7 @@ def cmd_count(args):
 
 def cmd_dist(args):
     from . import stats
-    # One histogram row of bins + 2 cells per period length.
-    if args.N // 2 * (args.bins + 2) > stats.GRID_CAP:
-        raise BudgetError("histogram exceeds the grid cap; use fewer --bins")
-    hist = stats.default_hist(args.A, args.bins)
+    stats.check_hist(args.N, args.bins)
     # The draws' or the enumeration's price, then ĉ's budget, before any work.
     if args.sample is not None:
         from . import bulk
@@ -209,10 +206,10 @@ def cmd_dist(args):
         bulk.shard_ranges(args.A, args.N)
     sigma2 = NORM_SIGMA[args.norm](args.A, args.tol)
     if args.sample is not None:
-        acc = bulk.sample(args.A, args.N, args.sample, args.seed, hist)
+        acc = bulk.sample(args.A, args.N, args.sample, args.seed, args.bins)
     elif args.norm == GEOM:
         # Only geom reads the per-word l_g histograms.
-        acc = bulk.run(args.A, args.N, hist=hist, threads=args.threads,
+        acc = bulk.run(args.A, args.N, bins=args.bins, threads=args.threads,
                        progress=_progress)
     else:
         acc = _exact_table(args.A, args.N)

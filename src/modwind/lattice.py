@@ -19,7 +19,7 @@ from operator import add
 
 from . import check_bound
 from .errors import BudgetError
-from .necklace import mobius
+from .necklace import _divisors, mobius
 from .stats import check_grid
 
 
@@ -54,8 +54,8 @@ def table(A, N, progress=None):
     out = Counter()
     for m in range(1, M + 1):
         prim = [[ce * cf for cf in sums[m]] for ce in sums[m]]
-        for d in range(2, m + 1):
-            sign = mobius(d) if m % d == 0 else 0
+        for d in _divisors(m)[1:]:
+            sign = mobius(d)
             if sign:
                 sub = sums[m // d]
                 for i, ci in enumerate(sub):

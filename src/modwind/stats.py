@@ -5,12 +5,12 @@ The central object is an exact joint occurrence table keyed by
 of millions of geodesics, so CDFs, moments, and characteristic functions
 under the period / maximal-period / word-length normalizations are exact
 integer computations.  The geometric-length normalization is not
-lattice-valued and is handled by a fixed binning whose contribution to
-the KS distance is reported as an explicit error bound.  Each report
-reads one support, built once by _support: the exact values and their
-counts, or the bin edges and the histogram, with F at each point.  Only
-the geometric binning, the per-word l_g histograms, loads numpy: the
-table normalizations run on Python ints and floats.
+lattice-valued and is binned over [-HIST_SPAN sigma_p, HIST_SPAN sigma_p]
+with its contribution to the KS distance reported as an explicit error
+bound.  Each report reads one support, built once by _support: the exact
+values and their counts, or the bin edges and the histogram, with F at
+each point.  Only the geometric binning, the per-word l_g histograms,
+loads numpy: the table normalizations run on Python ints and floats.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from operator import sub, truediv
 
 from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, sigma_p2  # noqa: F401  (re-exported)
-from . import check_bound
+from . import BINS, check_bound
 from .errors import BudgetError
 
 GRID_CAP = 1 << 24
@@ -39,56 +39,49 @@ def check_grid(A, N):
                           f"of {GRID_CAP} cells")
 
 
-class HistConfig(namedtuple("HistConfig", "lo hi bins")):
-    """Fixed binning over [lo, hi] with explicit under/overflow cells."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo, hi, bins):
-        if not (hi > lo) or bins < 2:
-            raise ValueError("invalid histogram configuration")
-        return super().__new__(cls, lo, hi, bins)
-
-    @property
-    def width(self):
-        return (self.hi - self.lo) / self.bins
+# The l_g histograms span +-HIST_SPAN sigma_p, which also covers the
+# geometric normalization, whose variance is strictly smaller.
+HIST_SPAN = 8.0
 
 
-def default_hist(A, bins=8192):
-    # [-8 sigma_p, 8 sigma_p] also covers the geometric normalization,
-    # whose variance is strictly smaller.
-    L = 8.0 * math.sqrt(float(sigma_p2(A)))
-    return HistConfig(lo=-L, hi=L, bins=bins)
+def check_hist(N, bins):
+    """Raise BudgetError when the l_g histograms of N, one row of bins + 2
+    cells per period length, pass GRID_CAP."""
+    if N // 2 * (bins + 2) > GRID_CAP:
+        raise BudgetError("histogram exceeds the grid cap; use fewer --bins")
 
 
 class JointCounts:
     """Exact mergeable accumulator of winding statistics.
 
     table maps (n, psi, lw) to an exact count.  Per period length n we
-    also keep a binned histogram of x = psi/sqrt(lg) and the float sums
-    lg_sums[n] = [sum x, sum x^2, sum lg/n, sum (lg/n)^2], so reports can
-    be restricted to any even N' <= N without re-enumerating.  Counts,
-    and every statistic of psi and lw, come from the table.
+    also keep a histogram of x = psi/sqrt(lg), `bins` cells of `width`
+    over [lo, -lo], lo = -HIST_SPAN sigma_p, and one past each end, and
+    the float sums lg_sums[n] = [sum x, sum x^2, sum lg/n, sum (lg/n)^2],
+    so reports can be restricted to any even N' <= N without
+    re-enumerating.  Counts, and every statistic of psi and lw, come from
+    the table.
     """
 
-    def __init__(self, A, N, hist=None):
+    def __init__(self, A, N, bins=BINS):
         check_bound(A, N)
+        if bins < 2:
+            raise ValueError(f"the l_g histogram needs 2 bins or more, got {bins}")
         self.A = A
         self.N = N
-        self.hist = hist if hist is not None else default_hist(A)
+        self.bins = bins
+        self.lo = -HIST_SPAN * math.sqrt(float(sigma_p2(A)))
+        self.width = -2.0 * self.lo / bins
         self.table = Counter()
         self.lg_hist = {}
         self.lg_sums = {}
         self.check_count = 0
         self.check_max_rel = 0.0
 
-    def config(self):
-        return (self.A, self.N, self.hist)
-
     def _hist_row(self, n):
         if n not in self.lg_hist:
             import numpy as np
-            self.lg_hist[n] = np.zeros(self.hist.bins + 2, dtype=np.int64)
+            self.lg_hist[n] = np.zeros(self.bins + 2, dtype=np.int64)
             self.lg_sums[n] = np.zeros(4)
         return self.lg_hist[n]
 
@@ -104,8 +97,8 @@ class JointCounts:
         self.table[(n, psi, lw)] += 1
         row = self._hist_row(n)
         x = psi / math.sqrt(rec.lg)
-        idx = int(math.floor((x - self.hist.lo) / self.hist.width))
-        row[min(max(idx, -1), self.hist.bins) + 1] += 1
+        idx = int(math.floor((x - self.lo) / self.width))
+        row[min(max(idx, -1), self.bins) + 1] += 1
         rg = rec.lg / n
         self.lg_sums[n] += (x, x * x, rg, rg * rg)
 
@@ -116,7 +109,7 @@ class JointCounts:
         """View of the accumulator limited to period lengths <= N."""
         if N < 2 or N % 2 != 0 or N > self.N:
             raise ValueError(f"invalid restriction N={N}")
-        out = JointCounts(self.A, N, self.hist)
+        out = JointCounts(self.A, N, self.bins)
         for key, cnt in self.table.items():
             if key[0] <= N:
                 out.table[key] = cnt
@@ -131,9 +124,9 @@ class JointCounts:
 
 def merge(a, b):
     """Cellwise sum of two accumulators with identical configuration."""
-    if a.config() != b.config():
+    if (a.A, a.N, a.bins) != (b.A, b.N, b.bins):
         raise ValueError("cannot merge accumulators with different configs")
-    out = JointCounts(a.A, a.N, a.hist)
+    out = JointCounts(a.A, a.N, a.bins)
     out.table = a.table + b.table
     for src in (a, b):
         for n in src.lg_hist:
@@ -164,7 +157,7 @@ def _table_values(acc, normalization):
 def _geom_counts(acc):
     """Binned psi/sqrt(lg) histogram summed over period lengths."""
     import numpy as np
-    counts = np.zeros(acc.hist.bins + 2, dtype=np.int64)
+    counts = np.zeros(acc.bins + 2, dtype=np.int64)
     for row in acc.lg_hist.values():
         counts += row
     return counts
@@ -186,7 +179,7 @@ def _support(acc, normalization):
     if total == 0:
         raise ValueError("empty accumulator")
     if normalization == GEOM:
-        xs = [acc.hist.lo + i * acc.hist.width for i in range(acc.hist.bins + 1)]
+        xs = [acc.lo + i * acc.width for i in range(acc.bins + 1)]
         counts = _geom_counts(acc).tolist()
     else:
         values = _table_values(acc, normalization)

@@ -128,6 +128,18 @@ class TestBulk:
             assert (one.lg_hist[n] == two.lg_hist[n]).all()
             assert (one.lg_sums[n] == two.lg_sums[n]).all()
 
+    def test_bin_count_reaches_the_workers(self, real_pool):
+        # bins travels in the job tuples: every shard's rows have bins + 2 cells.
+        serial = bulk.run(5, 10, bins=16)
+        pooled = bulk.run(5, 10, bins=16, threads=2)
+        assert real_pool == [2]
+        assert pooled.table == serial.table
+        for n in serial.lg_hist:
+            assert (pooled.lg_hist[n] == serial.lg_hist[n]).all()
+            assert (pooled.lg_sums[n] == serial.lg_sums[n]).all()
+        for acc in (serial, pooled, bulk.sample(9, 14, 500, 3, 16)):
+            assert acc.lg_hist and all(row.shape == (18,) for row in acc.lg_hist.values())
+
     def test_dual_length_sampling(self):
         acc = bulk.run(5, 6, check_rate=16)
         assert acc.check_count >= acc.total_count() // 16
@@ -504,7 +516,8 @@ class TestSample:
             raise AssertionError("drew")
 
         monkeypatch.setattr(bulk, "random", types.SimpleNamespace(Random=drawn))
-        limit = int(bulk.WORK_CAP * bulk._RUN_S / (bulk._DRAW_S + bulk._DIGIT_S * 14))
+        weights_s = bulk._WEIGHT_BIT_S * 14 * 14 / 4 * math.log2(9)
+        limit = int((bulk.WORK_CAP * bulk._RUN_S - weights_s) / (bulk._DRAW_S + bulk._DIGIT_S * 14))
         with pytest.raises(BudgetError, match="cap"):
             bulk.sample(9, 14, limit + 1, seed=1)
         with pytest.raises(AssertionError, match="drew"):
@@ -794,7 +807,13 @@ class TestCliExitCodes:
         (["count", "--A", "5", "--N", "100000000"], "float range"),
         # the l_g histogram, priced before any other work
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000"], "cap"),
-    ], ids=[f"argv{i}" for i in range(11)])
+        (["dist", "--A", "5", "--N", "8", "--norm", "geom", "--bins", "100000000"], "cap"),
+        (["dist", "--A", "9", "--N", "14", "--norm", "word", "--sample", "10",
+          "--bins", "100000000"], "cap"),
+        # the sampled route's exact length weights, priced before the first
+        (["dist", "--A", "2", "--N", "2000000", "--norm", "period", "--sample", "1",
+          "--bins", "2"], "cap"),
+    ], ids=[f"argv{i}" for i in range(14)])
     def test_work_cap_stops_early(self, argv, refusal, capsys, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the refusal")

@@ -1,4 +1,4 @@
-"""The eight record types: immutable tuples without an instance dict,
+"""The seven record types: immutable tuples without an instance dict,
 which pickle back through their validation."""
 
 import pickle
@@ -8,7 +8,7 @@ import pytest
 from modwind.cfcore import MatrixZ, QuadraticSurd
 from modwind.invariants import ChatEstimate, GeodesicRecord
 from modwind.necklace import CountReport, Necklace
-from modwind.stats import DistributionReport, HistConfig
+from modwind.stats import DistributionReport
 
 RECORDS = {
     "MatrixZ": (lambda: MatrixZ(103, 24, 30, 7), "a"),
@@ -17,7 +17,6 @@ RECORDS = {
     "CountReport": (lambda: CountReport(A=2, N=4, exact=10, asymptotic=10.67), "exact"),
     "GeodesicRecord": (lambda: GeodesicRecord(Necklace((1, 2)), -1, 2, 6, 1.92), "lg"),
     "ChatEstimate": (lambda: ChatEstimate(A=3, k=8, c_k=1.21, error_bound=4e-4), "c_k"),
-    "HistConfig": (lambda: HistConfig(-1.0, 1.0, 16), "bins"),
     "DistributionReport": (lambda: DistributionReport(
         "period", 1.5, 0.1, 0.0, 0.0, 1.4, 5, [(0.0, 0.6)], [0.5]), "ks"),
 }
@@ -40,7 +39,6 @@ def test_unpickling_validates():
     # refuse; unpickling calls __new__ again.
     surd = pickle.loads(pickle.dumps(QuadraticSurd._make((2, 2, 5, -4))))
     assert (surd.p, surd.r, surd.D, surd.q) == (-1, -1, 5, 2)
-    for raw in (HistConfig._make((1.0, 0.0, 4)), Necklace._make(((2, 1, 1, 1),))):
-        data = pickle.dumps(raw)
-        with pytest.raises(ValueError):
-            pickle.loads(data)
+    data = pickle.dumps(Necklace._make(((2, 1, 1, 1),)))
+    with pytest.raises(ValueError):
+        pickle.loads(data)

@@ -11,7 +11,6 @@ from modwind.stats import (
     MAXN,
     PERIOD,
     WORD,
-    HistConfig,
     JointCounts,
     _gaussian_cdfs,
     empirical_char_fn,
@@ -78,7 +77,11 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge(JointCounts(2, 4), JointCounts(2, 6))
         with pytest.raises(ValueError):
-            merge(JointCounts(2, 4), JointCounts(2, 4, HistConfig(-1, 1, 16)))
+            merge(JointCounts(2, 4), JointCounts(2, 4, 16))
+
+    def test_needs_two_bins(self):
+        with pytest.raises(ValueError):
+            JointCounts(3, 4, bins=1)
 
 
 class TestEmpiricalCdf:
@@ -308,11 +311,11 @@ def _scalar_empirical_cdf(acc, normalization):
     total = acc.total_count()
     if normalization == GEOM:
         counts = stats._geom_counts(acc)
-        points = [(acc.hist.lo, counts[0] / total)]
+        points = [(acc.lo, counts[0] / total)]
         running = int(counts[0])
-        for i in range(acc.hist.bins):
+        for i in range(acc.bins):
             running += int(counts[i + 1])
-            x = acc.hist.lo + (i + 1) * acc.hist.width
+            x = acc.lo + (i + 1) * acc.width
             points.append((x, running / total))
         return points
     values = stats._table_values(acc, normalization)
@@ -346,13 +349,24 @@ def _scalar_cdf_csv(points, sigma2):
     return "".join(lines).encode()
 
 
+def _narrow_run(A, N, bins):
+    """bulk.run over +-0.2 sigma_p, so that both tail cells hold mass; the
+    run stays under the pool threshold, so the span reaches every shard."""
+    span = stats.HIST_SPAN
+    stats.HIST_SPAN = 0.2
+    try:
+        return bulk.run(A, N, bins=bins)
+    finally:
+        stats.HIST_SPAN = span
+
+
 _ORACLE_ACCUMULATORS = {
     "exhaustive": lambda: bulk.run(3, 8),
     "scalar-records": lambda: full_accumulator(2, 6),
     "sampled": lambda: bulk.sample(5, 12, 400, 3),
-    "two-bins": lambda: bulk.run(3, 8, hist=HistConfig(-2.0, 2.0, 2)),
-    "sampled-two-bins": lambda: bulk.sample(4, 10, 300, 5, HistConfig(-2.0, 2.0, 2)),
-    "under-and-overflow": lambda: bulk.run(4, 8, hist=HistConfig(-0.3, 0.2, 64)),
+    "two-bins": lambda: bulk.run(3, 8, bins=2),
+    "sampled-two-bins": lambda: bulk.sample(4, 10, 300, 5, bins=2),
+    "under-and-overflow": lambda: _narrow_run(4, 8, bins=64),
     # the benchmark's geom operation: 8 193 rows of cdf.csv
     "geom-operation": lambda: bulk.run(5, 8),
 }
