@@ -334,9 +334,7 @@ def _check_lengths(acc, words, lg):
     mpmath oracles, and the oracles against each other."""
     from . import invariants  # only checked runs need the oracles
     for word, length in zip(words.tolist(), lg.tolist()):
-        logsum = invariants.geodesic_length_logsum(word)
-        eigen = invariants.geodesic_length_eigen(word)
-        rel = max(abs(logsum - eigen), abs(length - eigen)) / eigen
+        rel = invariants.length_gap(word, invariants.geodesic_length_logsum(word), length)
         acc.check_count += 1
         acc.check_max_rel = max(acc.check_max_rel, rel)
 

@@ -14,6 +14,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+PRECISION = 128  # bits of the mpmath geodesic-length routes, read when called
+
 
 def as_word(digits, even=False):
     """Validate and normalize a digit sequence into a word tuple, of even length if even."""
@@ -90,7 +92,7 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "p r D q")):
 
     __ne__ = object.__ne__  # the negated key equality, not tuple's !=
 
-    def to_mpf(self, precision=128):
+    def to_mpf(self, precision):
         """Numerical value at the requested binary precision."""
         from mpmath import mp
 
@@ -134,12 +136,12 @@ def fixed_points(m):
     return (plus, minus) if m.c > 0 else (minus, plus)
 
 
-def eigenvalue_max(m, precision=128):
-    """Larger eigenvalue (t + sqrt(t^2 - 4)) / 2 of a hyperbolic matrix."""
+def eigenvalue_max(m):
+    """Larger eigenvalue (t + sqrt(t^2 - 4)) / 2 of a hyperbolic matrix, at PRECISION bits."""
     tr = m.trace
     if tr <= 2:
         raise ValueError(f"trace {tr} <= 2: no expanding eigenvalue")
     from mpmath import mp
 
-    with mp.workprec(precision + 16):
+    with mp.workprec(PRECISION + 16):
         return +((tr + mp.sqrt(tr * tr - 4)) / 2)

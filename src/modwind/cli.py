@@ -21,7 +21,8 @@ import os
 import sys
 from importlib import import_module
 
-from . import BINS, GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, necklace, sigma_p2, sigma_w2
+from . import (BINS, GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, check_bound, necklace,
+               sigma_p2, sigma_w2)
 from .errors import BudgetError
 
 EXIT_OK = 0
@@ -38,10 +39,10 @@ NORM_SIGMA = {
 }
 
 
-def _progress(done, total):
-    """One line per whole percent of shards done, and one for the last."""
+def _progress(done, total, unit="shard"):
+    """One line per whole percent of the units done, and one for the last."""
     if done == total or 100 * done // total != 100 * (done - 1) // total:
-        print(f"shard {done}/{total}", file=sys.stderr, flush=True)
+        print(f"{unit} {done}/{total}", file=sys.stderr, flush=True)
 
 
 def _threads(value):
@@ -56,29 +57,26 @@ def _threads(value):
     )
 
 
-def _even(value):
-    n = int(value)
-    if n % 2 != 0 or n < 2:
-        raise argparse.ArgumentTypeError(f"N must be even and >= 2, got {n}")
-    return n
-
-
-def _bound(value):
-    A = int(value)
-    if A <= 1:
-        raise argparse.ArgumentTypeError(f"A must exceed 1, got {A}")
-    return A
-
-
-def _int_at_least(lo):
+def _checked_int(rule):
+    """argparse type: an int that rule accepts, rule's ValueError its usage message."""
     def parse(value):
         n = int(value)
-        if n < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        try:
+            rule(n)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return n
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _int_at_least(lo):
+    def rule(n):
+        if n < lo:
+            raise ValueError(f"must be >= {lo}, got {n}")
+
+    return _checked_int(rule)
 
 
 def _tolerance(value):
@@ -100,7 +98,7 @@ def _exact_table(A, N):
     from digit-sum counts: all that period, maxn and word statistics read."""
     from . import lattice, stats
     acc = stats.JointCounts(A, N)
-    acc.table = lattice.table(A, N, progress=_progress)
+    acc.table = lattice.table(A, N, progress=lambda m, M: _progress(m, M, "length"))
     return acc
 
 
@@ -112,9 +110,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=True):
-        p.add_argument("--A", type=_bound, required=True, help="partial quotient bound")
+        p.add_argument("--A", type=_checked_int(check_bound), required=True,
+                       help="partial quotient bound")
         if with_n:
-            p.add_argument("--N", type=_even, required=True, help="maximum period length (even)")
+            p.add_argument("--N", type=_checked_int(lambda N: check_bound(2, N)), required=True,
+                           help="maximum period length (even)")
 
     def threads(p):
         # argparse applies the type to a string default, so a bad

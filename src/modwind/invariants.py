@@ -1,10 +1,10 @@
 """Winding number, the three length functions, and variance constants.
 
-The geometric length of a necklace is computed two independent ways:
-as twice the log-sum of the Gauss-map orbit values (exact surds per
-rotation, one square root each) and as twice the log of the larger
-eigenvalue of the associated matrix.  The two routes agree up to
-rounding and cross-check each other.
+The geometric length of a necklace is computed two independent ways in
+mpmath at cfcore.PRECISION bits: as twice the log-sum of the Gauss-map
+orbit values, each read off its rotation's integer matrix, and as twice
+the log of the larger eigenvalue of the word's matrix.  length_gap checks
+any length against the eigenvalue route, to within DUAL_LENGTH_TOL.
 """
 
 from __future__ import annotations
@@ -14,17 +14,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import check_bound, sigma_p2
-from .cfcore import (
-    MatrixZ,
-    as_word,
-    eigenvalue_max,
-    fixed_points,
-    matrix_of_word,
-)
+from . import cfcore, check_bound, sigma_p2
+from .cfcore import MatrixZ, as_word, eigenvalue_max, matrix_of_word
 from .errors import BudgetError
 
-PRECISION = 128  # bits of the mpmath geodesic-length routes
 DUAL_LENGTH_TOL = 1e-9  # largest relative gap allowed between the two routes
 
 
@@ -57,21 +50,20 @@ def _rotation_matrices(word):
 def geodesic_length_logsum(word):
     """2 * sum_j log(value of the j-th rotation of the period).
 
-    Each summand is the exact purely periodic value of a rotated word;
-    all rotations share the same discriminant, so one square root serves
-    the whole orbit.
+    A rotation with matrix (a b; c d), c >= 1, has the purely periodic
+    value (a - d + sqrt(t^2 - 4)) / 2c, its attracting fixed point; all
+    rotations share the trace t, so one square root serves the orbit.
     """
     word = as_word(word, even=True)
     from mpmath import mp
 
-    with mp.workprec(PRECISION + 16):
+    with mp.workprec(cfcore.PRECISION + 16):
         total = mp.mpf(0)
         sqrt_disc = None
         for m in _rotation_matrices(word):
-            w, _ = fixed_points(m)
             if sqrt_disc is None:
-                sqrt_disc = mp.sqrt(w.D)
-            total += mp.log((w.p + w.r * sqrt_disc) / w.q)
+                sqrt_disc = mp.sqrt(m.trace * m.trace - 4)
+            total += mp.log((m.a - m.d + sqrt_disc) / (2 * m.c))
         return float(2 * total)
 
 
@@ -80,8 +72,15 @@ def geodesic_length_eigen(word):
     word = as_word(word, even=True)
     from mpmath import mp
 
-    with mp.workprec(PRECISION + 16):
+    with mp.workprec(cfcore.PRECISION + 16):
         return float(2 * mp.log(eigenvalue_max(matrix_of_word(word))))
+
+
+def length_gap(word, *lengths):
+    """Largest relative gap |v - eigen| / eigen of the lengths v from
+    eigen = geodesic_length_eigen(word); DUAL_LENGTH_TOL bounds a good one."""
+    eigen = geodesic_length_eigen(word)
+    return max(abs(v - eigen) for v in lengths) / eigen
 
 
 class GeodesicRecord(namedtuple("GeodesicRecord", "necklace psi lp lw lg")):
@@ -94,13 +93,8 @@ def build_record(necklace, cross_check=False):
     """Bundle winding, period length, word length, geometric length."""
     rep = necklace.rep
     lg = geodesic_length_logsum(rep)
-    if cross_check:
-        eig = geodesic_length_eigen(rep)
-        rel = abs(lg - eig) / eig
-        if rel >= DUAL_LENGTH_TOL:
-            raise AssertionError(
-                f"geodesic length mismatch for {rep}: {lg} vs {eig}"
-            )
+    if cross_check and (gap := length_gap(rep, lg)) >= DUAL_LENGTH_TOL:
+        raise AssertionError(f"geodesic length mismatch for {rep}: relative gap {gap:.3e}")
     return GeodesicRecord(
         necklace=necklace,
         psi=winding(rep),

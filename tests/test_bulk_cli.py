@@ -781,6 +781,9 @@ class TestCliExitCodes:
         (["charfn", "--A", "3", "--N", "4", "--t", "-1e3"], 0),
         # t times the largest winding passes the float range
         (["charfn", "--A", "5", "--N", "8", "--t", "1e308"], 2),
+        # a bound that is not an integer
+        (["dist", "--A", "x", "--N", "4", "--norm", "period"], 2),
+        (["dist", "--A", "3", "--N", "4.5", "--norm", "period"], 2),
     ])
     def test_invalid_input(self, argv, expected, tmp_path):
         proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
@@ -919,33 +922,45 @@ class TestCliExitCodes:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
 
+    # The mpmath oracles load only under verify.
     @pytest.mark.parametrize("argv, expected, absent, present", [
         (["count", "--A", "5", "--N", "12"], 0,
-         ("numpy", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
-        (["--help"], 0, ("numpy", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
+         ("numpy", "mpmath", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
+        (["--help"], 0,
+         ("numpy", "mpmath", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
         (["dist", "--A", "1", "--N", "8", "--norm", "period"], 2,
-         ("numpy", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
+         ("numpy", "mpmath", "modwind.bulk", "modwind.verify", *DATACLASSES), ()),
         (["dist", "--A", "3", "--N", "4", "--norm", "period"], 0,
-         ("numpy", "modwind.bulk", "modwind.invariants", "modwind.svgplot", "modwind.verify",
-          *DATACLASSES), ("modwind.lattice",)),
+         ("numpy", "mpmath", "modwind.bulk", "modwind.invariants", "modwind.svgplot",
+          "modwind.verify", *DATACLASSES), ("modwind.lattice",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--svg"], 0,
-         ("numpy", "modwind.invariants", "modwind.verify", *DATACLASSES), ("modwind.svgplot",)),
+         ("numpy", "mpmath", "modwind.invariants", "modwind.verify", *DATACLASSES),
+         ("modwind.svgplot",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "word"], 0,
-         ("numpy", "modwind.bulk", "modwind.invariants", *DATACLASSES), ("modwind.lattice",)),
+         ("numpy", "mpmath", "modwind.bulk", "modwind.invariants", *DATACLASSES),
+         ("modwind.lattice",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "maxn"], 0,
-         ("numpy", "modwind.bulk", "modwind.invariants", *DATACLASSES), ("modwind.lattice",)),
+         ("numpy", "mpmath", "modwind.bulk", "modwind.invariants", *DATACLASSES),
+         ("modwind.lattice",)),
         (["charfn", "--A", "3", "--N", "4", "--t", "1"], 0,
-         ("numpy", "modwind.bulk", "modwind.invariants", *DATACLASSES), ("modwind.lattice",)),
+         ("numpy", "mpmath", "modwind.bulk", "modwind.invariants", *DATACLASSES),
+         ("modwind.lattice",)),
         (["count", "--A", "3", "--N", "4", "--exact"], 0,
-         ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
+         ("mpmath", "modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--sample", "100"], 0,
-         ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
+         ("mpmath", "modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
         (["dist", "--A", "3", "--N", "4", "--norm", "word", "--sample", "100"], 0,
-         ("modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
+         ("mpmath", "modwind.invariants", "modwind.lattice"), ("modwind.bulk",)),
         (["dist", "--A", "1449", "--N", "2", "--norm", "period"], 4,
-         ("numpy", "modwind.bulk", "modwind.invariants", *DATACLASSES), ("modwind.lattice",)),
+         ("numpy", "mpmath", "modwind.bulk", "modwind.invariants", *DATACLASSES),
+         ("modwind.lattice",)),
+        (["dist", "--A", "3", "--N", "4", "--norm", "geom"], 0,
+         ("mpmath", "modwind.verify"), ("modwind.bulk", "modwind.invariants")),
+        (["constants", "--A", "5"], 0,
+         ("mpmath", "modwind.bulk", "modwind.verify"), ("modwind.invariants",)),
     ], ids=["count", "help", "usage-error", "dist", "dist-svg", "dist-word", "dist-maxn",
-            "charfn", "count-exact", "dist-sample", "dist-sample-word", "dist-grid-cap"])
+            "charfn", "count-exact", "dist-sample", "dist-sample-word", "dist-grid-cap",
+            "dist-geom", "constants"])
     def test_loads_only_its_modules(self, argv, expected, absent, present, tmp_path):
         # In a fresh interpreter: this one has imported every module.
         code = ("import sys\n"
@@ -1017,8 +1032,7 @@ class TestLargeAlphabet:
         code, _, err = run_cli(capsys, "dist", "--A", "300", "--N", "2",
                                "--norm", "period", "--out-dir", str(tmp_path))
         assert code == 0
-        # 90,000 candidates make one shard
-        assert err.splitlines() == ["shard 1/1"]
+        assert err.splitlines() == ["length 1/1"]
         cells = Counter((a - b, 2 * (a + b))
                         for a in range(1, 301) for b in range(1, 301))
         expected = "n,psi,lw,count\n" + "".join(

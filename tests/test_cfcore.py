@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -160,11 +161,11 @@ class TestGaussShift:
     def test_orbit_product_is_eigenvalue(self, word):
         # product of the Gauss-map orbit values telescopes to the eigenvalue
         n = len(word)
-        with mp.workprec(160):
+        with mp.workprec(160), mock.patch.object(cfcore, "PRECISION", 160):
             prod = mp.mpf(1)
             for i in range(1, n + 1):
                 prod *= periodic_value(word[i:] + word[:i], 160)
-            lam = cfcore.eigenvalue_max(cfcore.matrix_of_word(word), 160)
+            lam = cfcore.eigenvalue_max(cfcore.matrix_of_word(word))
             assert abs(prod - lam) / lam < 2 ** (-128 + n)
 
 

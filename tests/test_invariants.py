@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import mp
 
-from modwind import invariants, necklace, sigma_p2, sigma_w2
-from modwind.cfcore import matrix_of_word
+from modwind import cfcore, invariants, necklace, sigma_p2, sigma_w2
+from modwind.cfcore import fixed_points, matrix_of_word
 from modwind.errors import BudgetError
 from modwind.invariants import (
     build_record,
@@ -20,6 +21,7 @@ from modwind.invariants import (
     two_tail_bounds,
     geodesic_length_eigen,
     geodesic_length_logsum,
+    length_gap,
     winding,
     word_length,
 )
@@ -106,6 +108,47 @@ class TestGeodesicLength:
                     b = geodesic_length_eigen(nk.rep)
                     assert abs(a - b) / b < 1e-9
 
+    def test_length_gap(self):
+        word = (3, 2, 3, 4)
+        eigen = geodesic_length_eigen(word)
+        assert length_gap(word, eigen) == 0.0
+        assert length_gap(word, geodesic_length_logsum(word)) < 1e-9
+        off = eigen * (1 + 2e-9)
+        assert length_gap(word, off) >= invariants.DUAL_LENGTH_TOL
+        # the largest gap of several lengths
+        assert length_gap(word, eigen, off, eigen) == length_gap(word, off)
+
+    @staticmethod
+    def _logsum_by_surds(word):
+        """The log-sum through fixed_points: each rotation's larger fixed
+        point as an exact QuadraticSurd, evaluated at cfcore.PRECISION."""
+        with mp.workprec(cfcore.PRECISION + 16):
+            total = mp.mpf(0)
+            sqrt_disc = None
+            for m in invariants._rotation_matrices(word):
+                w, _ = fixed_points(m)
+                if sqrt_disc is None:
+                    sqrt_disc = mp.sqrt(w.D)
+                total += mp.log((w.p + w.r * sqrt_disc) / w.q)
+            return float(2 * total)
+
+    def test_logsum_matches_surd_route(self):
+        words = [nk.rep for nk in necklace.enumerate_necklaces(3, 8)]
+        rng = random.Random(25)
+        for _ in range(300):
+            n = 2 * rng.randint(1, 40)
+            words.append(tuple(rng.randint(1, 9) for _ in range(n)))
+        for word in words:
+            assert geodesic_length_logsum(word) == self._logsum_by_surds(word), word
+
+    def test_precision_read_when_called(self, monkeypatch):
+        word = (3, 2, 3, 4)
+        full = geodesic_length_eigen(word), geodesic_length_logsum(word)
+        monkeypatch.setattr(cfcore, "PRECISION", 8)
+        coarse = geodesic_length_eigen(word), geodesic_length_logsum(word)
+        for a, b in zip(full, coarse):
+            assert abs(a - b) / a > 1e-9
+
     @given(st.lists(st.integers(1, 1000), min_size=1, max_size=24))
     def test_rotation_matrices_by_conjugation(self, word):
         expected = [matrix_of_word(word[j:] + word[:j]) for j in range(1, len(word) + 1)]
@@ -133,6 +176,11 @@ class TestBuildRecord:
         r = build_record(necklace.Necklace((1, 2)), cross_check=True)
         assert (r.psi, r.lp, r.lw) == (-1, 2, 6)
         assert r.lg == pytest.approx(2 * math.log(2 + math.sqrt(3)), rel=1e-12)
+
+    def test_cross_check_names_word_and_gap(self, monkeypatch):
+        monkeypatch.setattr(invariants, "geodesic_length_logsum", lambda word: 1.0)
+        with pytest.raises(AssertionError, match=r"\(1, 2\): relative gap 6\.2"):
+            build_record(necklace.Necklace((1, 2)), cross_check=True)
 
 
 class TestVarianceConstants:

@@ -154,7 +154,7 @@ class TestCliRoute:
         code = cli.main(["dist", "--A", "9", "--N", "8", "--norm", "period",
                          "--out-dir", str(tmp_path)])
         assert code == 0
-        assert capsys.readouterr().err.splitlines() == [f"shard {i}/4" for i in range(1, 5)]
+        assert capsys.readouterr().err.splitlines() == [f"length {i}/4" for i in range(1, 5)]
 
 
 class TestNumpyRendering:
