@@ -108,12 +108,15 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "p r D q")):
 
 
 def matrix_of_word(word):
-    """Product of the digit matrices (a 1; 1 0) in word order."""
-    word = as_word(word)
-    m = MatrixZ(1, 0, 0, 1)
-    for a in word:
-        m = m @ MatrixZ(a, 1, 1, 0)
-    return m
+    """Product of the digit matrices (q 1; 1 0) in word order.
+
+    Multiplying (a b; c d) by (q 1; 1 0) on the right is the continuant
+    step (a, b, c, d) <- (aq + b, a, cq + d, c), run here in plain ints.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for q in as_word(word):
+        a, b, c, d = a * q + b, a, c * q + d, c
+    return MatrixZ(a, b, c, d)
 
 
 def cf_eval_finite(word):

@@ -196,7 +196,9 @@ def cmd_count(args):
 
 def cmd_dist(args):
     from . import stats
-    stats.check_hist(args.N, args.bins)
+    # A sampled run builds a row only for each drawn period length.
+    rows = args.N // 2 if args.sample is None else min(args.sample, args.N // 2)
+    stats.check_hist(rows, args.bins)
     # The draws' or the enumeration's price, then ĉ's budget, before any work.
     if args.sample is not None:
         from . import bulk

@@ -1,8 +1,8 @@
 """Winding number, the three length functions, and variance constants.
 
 The geometric length of a necklace is computed two independent ways in
-mpmath at cfcore.PRECISION bits: as twice the log-sum of the Gauss-map
-orbit values, each read off its rotation's integer matrix, and as twice
+mpmath at cfcore.PRECISION bits: as twice the log of the orbit's product
+of fixed points, read off each rotation's integer matrix, and as twice
 the log of the larger eigenvalue of the word's matrix.  length_gap checks
 any length against the eigenvalue route, to within DUAL_LENGTH_TOL.
 """
@@ -15,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import cfcore, check_bound, sigma_p2
-from .cfcore import MatrixZ, as_word, eigenvalue_max, matrix_of_word
+from .cfcore import as_word, eigenvalue_max, matrix_of_word
 from .errors import BudgetError
 
 DUAL_LENGTH_TOL = 1e-9  # largest relative gap allowed between the two routes
@@ -33,38 +33,29 @@ def word_length(word):
     return 2 * sum(word)
 
 
-def _rotation_matrices(word):
-    """Matrices of the rotations word[j:] + word[:j] for j = 1, ..., n.
-
-    Rotating a off the front conjugates the matrix by M(a) = [[a, 1], [1, 0]]:
-    M(a w') = M(a) M(w') gives M(w' a) = M(a)^-1 M(a w') M(a), with
-    M(a)^-1 = [[0, 1], [1, -a]].  Each matrix is the same exact integer
-    matrix as matrix_of_word of the rotation, at O(1) cost instead of O(n).
-    """
-    m = matrix_of_word(word)
-    for a in word:
-        m = MatrixZ(0, 1, 1, -a) @ m @ MatrixZ(a, 1, 1, 0)
-        yield m
-
-
 def geodesic_length_logsum(word):
-    """2 * sum_j log(value of the j-th rotation of the period).
+    """2 * log of the orbit's product of fixed points, read off each
+    rotation's integer matrix.
 
-    A rotation with matrix (a b; c d), c >= 1, has the purely periodic
-    value (a - d + sqrt(t^2 - 4)) / 2c, its attracting fixed point; all
-    rotations share the trace t, so one square root serves the orbit.
+    Rotating q off the front conjugates the matrix by M(q) = (q 1; 1 0):
+    M(q)^-1 (a b; c d) M(q) = (cq + d, c; (a - qc)q + b - qd, a - qc),
+    the matrix of the next rotation, in plain ints.  A rotation with
+    matrix (a b; c d), c >= 1, has the purely periodic value
+    (a - d + sqrt(t^2 - 4)) / 2c, its attracting fixed point; all
+    rotations share the trace t, so one square root and one log serve
+    the orbit.
     """
     word = as_word(word, even=True)
+    a, b, c, d = matrix_of_word(word)
     from mpmath import mp
 
     with mp.workprec(cfcore.PRECISION + 16):
-        total = mp.mpf(0)
-        sqrt_disc = None
-        for m in _rotation_matrices(word):
-            if sqrt_disc is None:
-                sqrt_disc = mp.sqrt(m.trace * m.trace - 4)
-            total += mp.log((m.a - m.d + sqrt_disc) / (2 * m.c))
-        return float(2 * total)
+        sqrt_disc = mp.sqrt((a + d) ** 2 - 4)
+        product = mp.mpf(1)
+        for q in word:
+            a, b, c, d = c * q + d, c, (a - q * c) * q + b - q * d, a - q * c
+            product *= (a - d + sqrt_disc) / (2 * c)
+        return float(2 * mp.log(product))
 
 
 def geodesic_length_eigen(word):

@@ -44,10 +44,10 @@ def check_grid(A, N):
 HIST_SPAN = 8.0
 
 
-def check_hist(N, bins):
-    """Raise BudgetError when the l_g histograms of N, one row of bins + 2
-    cells per period length, pass GRID_CAP."""
-    if N // 2 * (bins + 2) > GRID_CAP:
+def check_hist(rows, bins):
+    """Raise BudgetError when `rows` l_g histogram rows, one per period
+    length with bins + 2 cells each, pass GRID_CAP."""
+    if rows * (bins + 2) > GRID_CAP:
         raise BudgetError("histogram exceeds the grid cap; use fewer --bins")
 
 

@@ -119,8 +119,8 @@ def check_lattice_table(A, N, enumerated):
 
 
 # The longest words the brute-force scans walk, and the words they may
-# walk in all: in pure Python, run_suite(5, 8), 4.9e5 words, takes about
-# 9 s on a 2-core x86_64 machine.
+# walk in all: in pure Python, run_suite(5, 8), 4.9e5 words, takes 9-12 s
+# on a 2-core x86_64 machine, under 1 s of it in the dual-length check.
 SCAN_LENGTH = 10
 VERIFY_CAP = 10**6
 

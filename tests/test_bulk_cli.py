@@ -668,6 +668,14 @@ class TestCliDist:
         assert code == 0
         assert json.loads(out)["count"] == 200
 
+    def test_sample_prices_drawn_rows(self, tmp_path, capsys):
+        # 1000 draws fill at most 1000 of the N/2 = 5000 l_g rows, and
+        # 1000 rows of the default 8192 + 2 cells stay inside the grid cap.
+        code, out, _ = run_cli(capsys, "dist", "--A", "2", "--N", "10000", "--norm", "period",
+                               "--sample", "1000", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["count"] == 1000
+
     def test_geom_at_A6_within_tolerance(self, tmp_path, capsys):
         # The two-tail interval reaches tol 1e-3 at depth 5 (6^5 words),
         # where the Fibonacci rule would need 6^10, over the word budget.

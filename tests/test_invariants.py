@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from modwind import cfcore, invariants, necklace, sigma_p2, sigma_w2
-from modwind.cfcore import fixed_points, matrix_of_word
+from modwind.cfcore import MatrixZ, fixed_points, matrix_of_word
 from modwind.errors import BudgetError
 from modwind.invariants import (
     build_record,
@@ -120,13 +120,14 @@ class TestGeodesicLength:
 
     @staticmethod
     def _logsum_by_surds(word):
-        """The log-sum through fixed_points: each rotation's larger fixed
-        point as an exact QuadraticSurd, evaluated at cfcore.PRECISION."""
+        """The log-sum through fixed_points: the larger fixed point of each
+        rotation's matrix_of_word, an exact QuadraticSurd, evaluated at
+        cfcore.PRECISION."""
         with mp.workprec(cfcore.PRECISION + 16):
             total = mp.mpf(0)
             sqrt_disc = None
-            for m in invariants._rotation_matrices(word):
-                w, _ = fixed_points(m)
+            for j in range(1, len(word) + 1):
+                w, _ = fixed_points(matrix_of_word(word[j:] + word[:j]))
                 if sqrt_disc is None:
                     sqrt_disc = mp.sqrt(w.D)
                 total += mp.log((w.p + w.r * sqrt_disc) / w.q)
@@ -150,9 +151,11 @@ class TestGeodesicLength:
             assert abs(a - b) / a > 1e-9
 
     @given(st.lists(st.integers(1, 1000), min_size=1, max_size=24))
-    def test_rotation_matrices_by_conjugation(self, word):
-        expected = [matrix_of_word(word[j:] + word[:j]) for j in range(1, len(word) + 1)]
-        assert list(invariants._rotation_matrices(word)) == expected
+    def test_matrix_of_word_is_product_of_digit_matrices(self, word):
+        expected = MatrixZ(1, 0, 0, 1)
+        for a in word:
+            expected = expected @ MatrixZ(a, 1, 1, 0)
+        assert matrix_of_word(word) == expected
 
     def test_even_shift_invariance_sampled(self):
         rng = random.Random(99)
