@@ -18,10 +18,10 @@ entry: a block of candidates costs broadcast adds, comparisons and one
 product, no digit is decoded, and only box indices are ever divided.
 
 A shard is a range (n, lo, hi) of at most _CHUNK candidates of period
-length n.  `run` merges its shards in increasing order, so the result
-does not depend on the thread count.  `count` walks the same shards but
-forms only the Lyndon masks: a count needs no key, invariant or table
-cell.
+length n.  `run` adds each shard into the first, in increasing order,
+so the result does not depend on the thread count.  `count` walks the
+same shards and folds them the same way, but forms only the Lyndon
+masks: a count needs no key, invariant or table cell.
 
 `sample` draws necklaces uniformly without canonicalizing them: all
 invariants are constant on an even-shift class, and each necklace of
@@ -51,7 +51,8 @@ import numpy as np
 
 from . import BINS, necklace
 from .errors import BudgetError
-from .stats import JointCounts, check_grid, grid_cells, merge
+# merge is unused here; perfbench's tracer wraps bulk.merge by name (ROADMAP item 4).
+from .stats import JointCounts, check_grid, grid_cells, merge  # noqa: F401
 
 # int64 matrix entries stay exact below this bound on (A+1)^n.
 _ENTRY_BITS = 62
@@ -404,32 +405,23 @@ def _map_in_order(worker, jobs, threads, serial_s):
 
 
 def _merge_in_order(shards, total, progress):
-    """Merge an ordered stream of shards as a balanced tree, left to right.
-
-    A linear fold would copy the growing table once per shard; the tree
-    copies each cell about log2(total) times and holds that many partial
-    results.
-    """
-    stack = []
-    for i, acc in enumerate(shards, 1):
-        size = 1
-        while stack and stack[-1][0] == size:
-            acc = merge(stack.pop()[1], acc)
-            size *= 2
-        stack.append((size, acc))
+    """Fold an ordered stream of shards, JointCounts or counts, into the
+    first with +=, in order, with progress(i, total) after the i-th."""
+    for i, shard in enumerate(shards, 1):
+        if i == 1:
+            acc = shard
+        else:
+            acc += shard
         if progress:
             progress(i, total)
-    result = stack.pop()[1]
-    while stack:
-        result = merge(stack.pop()[1], result)
-    return result
+    return acc
 
 
 def run(A, N, bins=BINS, threads=1, check_rate=0, progress=None):
     """Full enumeration, one shard per range of shard_ranges; returns the
     merged accumulator.
 
-    Shards are merged in a fixed order, so the result is independent of
+    Shards are added in a fixed order, so the result is independent of
     the thread count.
     """
     ranges = shard_ranges(A, N)
@@ -440,16 +432,12 @@ def run(A, N, bins=BINS, threads=1, check_rate=0, progress=None):
 
 def count(A, N, threads=1, progress=None):
     """Number of necklaces of period length <= N, counted by enumerating
-    the Lyndon keys of the shards of `run`, with the same progress calls."""
+    the Lyndon keys of the shards of `run`, folded in the same order with
+    the same progress calls."""
     ranges = shard_ranges(A, N)
     jobs = [(A, *r) for r in ranges]
-    total = 0
     shards = _map_in_order(_count_worker, jobs, threads, _COUNT_S * _candidates(ranges))
-    for i, found in enumerate(shards, 1):
-        total += found
-        if progress:
-            progress(i, len(jobs))
-    return total
+    return _merge_in_order(shards, len(jobs), progress)
 
 
 def _aperiodic(block):

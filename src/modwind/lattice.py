@@ -43,12 +43,13 @@ def table(A, N, progress=None):
     past the grid cap or at A^N >= 2^62."""
     check_bound(A, N)
     check_grid(A, N)
-    # The counts are exact Python ints at any size, but the route stops at
-    # the int64 range, every count and partial Moebius sum below
-    # 2 A^N < 2^63: the range in which its outputs are checked against the
-    # int64 construction.
+    # The counts are exact Python ints at any size.  The route stops at
+    # A^N < 2^62, the range its tests cover: enumeration checks it below
+    # (A+1)^N < 2^62; up to A^N < 2^62 an int64 port of the same Moebius
+    # sum and the closed-form sums of its counts, psi, psi^2 and lw do.
     if A**N >= 2**62:
-        raise BudgetError(f"the counts of A={A}, N={N} overflow int64")
+        raise BudgetError(f"the exact table of A={A}, N={N} passes its checked range, "
+                          f"A^N < 2^62")
     M = N // 2
     sums = _digit_sums(A, M)
     out = Counter()

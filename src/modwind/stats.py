@@ -102,6 +102,20 @@ class JointCounts:
         rg = rec.lg / n
         self.lg_sums[n] += (x, x * x, rg, rg * rg)
 
+    def __iadd__(self, other):
+        """Add another accumulator of the same configuration, cell by cell,
+        copying its rows: nothing of `other` is shared afterwards."""
+        if (self.A, self.N, self.bins) != (other.A, other.N, other.bins):
+            raise ValueError("cannot merge accumulators with different configs")
+        self.table.update(other.table)
+        for n, row in other.lg_hist.items():
+            hist = self._hist_row(n)
+            hist += row
+            self.lg_sums[n] += other.lg_sums[n]
+        self.check_count += other.check_count
+        self.check_max_rel = max(self.check_max_rel, other.check_max_rel)
+        return self
+
     def total_count(self):
         return sum(self.table.values())
 
@@ -123,18 +137,11 @@ class JointCounts:
 
 
 def merge(a, b):
-    """Cellwise sum of two accumulators with identical configuration."""
-    if (a.A, a.N, a.bins) != (b.A, b.N, b.bins):
-        raise ValueError("cannot merge accumulators with different configs")
+    """Cellwise sum of two accumulators with identical configuration, as a
+    fresh accumulator."""
     out = JointCounts(a.A, a.N, a.bins)
-    out.table = a.table + b.table
-    for src in (a, b):
-        for n in src.lg_hist:
-            row = out._hist_row(n)
-            row += src.lg_hist[n]
-            out.lg_sums[n] += src.lg_sums[n]
-    out.check_count = a.check_count + b.check_count
-    out.check_max_rel = max(a.check_max_rel, b.check_max_rel)
+    out += a
+    out += b
     return out
 
 

@@ -92,8 +92,8 @@ def check_dual_lengths(A, n_max):
 
 
 def check_shard_independence(A, N):
-    """bulk.run, on its default shards and merge tree, against the same
-    ranges cut in three and folded in order, and its total against
+    """bulk.run, on its default shards and in-place fold, against the same
+    ranges cut in three and merged in order, and its total against
     pi_exact and the Lyndon key count; returns the failures and bulk.run's
     accumulator."""
     failures = []

@@ -1116,7 +1116,7 @@ class TestCliVerify:
         assert "shard total != pi_exact" not in err
 
     def test_detects_dropped_merge(self, capsys, monkeypatch):
-        # negative control: bulk.run's merge tree losing its last shard
+        # negative control: bulk.run's shard fold losing its last shard
         # must be caught
         real = bulk._merge_in_order
         monkeypatch.setattr(bulk, "_merge_in_order",

@@ -72,11 +72,31 @@ class TestTable:
         lattice.table(3, 8, progress=lambda *p: calls.append(p))
         assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
-    @pytest.mark.parametrize("A, N", [(2, 60), (3, 38)])
+    @pytest.mark.parametrize("A, N", [(2, 60), (3, 38), (5, 26), (9, 18)])
     def test_below_int64_bound(self, A, N):
+        # Past enumeration's (A+1)^N < 2^62, where nothing enumerates the
+        # table: per period length n = 2m, its count, sum psi, sum psi^2
+        # and sum lw against their Moebius sums over the aperiodic words.
         cells = lattice.table(A, N)
         assert sum(cells.values()) == necklace.pi_exact(A, N)
         assert all(c > 0 for c in cells.values())
+        sums = {}
+        for (n, psi, lw), c in cells.items():
+            s = sums.setdefault(n, [0, 0, 0, 0])
+            s[0] += c
+            s[1] += c * psi
+            s[2] += c * psi * psi
+            s[3] += c * lw
+        assert sorted(sums) == list(range(2, N + 1, 2))
+        for n, (count, psi1, psi2, lw1) in sums.items():
+            m = n // 2
+            pn = necklace.count_Pn(A, n)
+            mobius_sum = sum(necklace.mobius(d) * d * A ** (n // d)
+                             for d in range(1, m + 1) if m % d == 0)
+            assert count == pn
+            assert psi1 == 0
+            assert 6 * psi2 == (A * A - 1) * mobius_sum
+            assert lw1 == 2 * (A + 1) * m * pn
 
     @pytest.mark.parametrize("A, N", [(2, 60), (3, 38), (5, 26), (9, 18), (60, 4),
                                       (300, 2)])

@@ -79,6 +79,49 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge(JointCounts(2, 4), JointCounts(2, 4, 16))
 
+    @staticmethod
+    def _checked(words, checks, worst):
+        acc = filled(3, 4, words)
+        acc.check_count, acc.check_max_rel = checks, worst
+        return acc
+
+    @staticmethod
+    def _state(acc):
+        return (dict(acc.table), {n: r.tolist() for n, r in acc.lg_hist.items()},
+                {n: s.tolist() for n, s in acc.lg_sums.items()},
+                acc.check_count, acc.check_max_rel)
+
+    def test_merge_shares_nothing(self):
+        a = self._checked([(1, 2), (1, 1, 2, 2)], 2, 1e-12)
+        b = self._checked([(1, 3), (1, 1, 2, 3)], 3, 2e-12)
+        c = self._checked([(2, 3), (1, 2, 2, 3)], 1, 3e-12)
+        before = self._state(a), self._state(b)
+        out = merge(a, b)
+        assert (self._state(a), self._state(b)) == before
+        out += c
+        assert (self._state(a), self._state(b)) == before
+        assert out.total_count() == 6
+        assert (out.check_count, out.check_max_rel) == (6, 3e-12)
+
+    def test_iadd_shares_nothing(self):
+        b = self._checked([(1, 3), (1, 1, 2, 3)], 3, 2e-12)
+        c = self._checked([(2, 3), (1, 2, 2, 3)], 1, 3e-12)
+        before = self._state(b)
+        acc = JointCounts(3, 4)
+        acc += b
+        acc += c
+        assert self._state(b) == before
+        assert self._state(acc) == self._state(merge(b, c))
+
+    def test_iadd_config_mismatch(self):
+        for other in (JointCounts(2, 6), JointCounts(2, 4, 16), JointCounts(3, 4)):
+            with pytest.raises(ValueError) as merged:
+                merge(JointCounts(2, 4), other)
+            acc = JointCounts(2, 4)
+            with pytest.raises(ValueError) as added:
+                acc += other
+            assert str(added.value) == str(merged.value)
+
     def test_needs_two_bins(self):
         with pytest.raises(ValueError):
             JointCounts(3, 4, bins=1)
