@@ -20,8 +20,8 @@ def main():
     print(f"{acc.total_count():,} necklaces")
     print()
 
-    # The same targets as `modwind dist` at its default --tol.
-    sigma2 = {norm: cli.NORM_SIGMA[norm](A, 1e-3) for norm in stats.NORMALIZATIONS}
+    # The same targets as `modwind dist`.
+    sigma2 = {norm: cli.NORM_SIGMA[norm](A) for norm in stats.NORMALIZATIONS}
 
     print("KS distance to N(0, sigma^2) by cutoff:")
     header = "  norm   " + "".join(f"  N={n:<6d}" for n in range(4, N + 1, 2))

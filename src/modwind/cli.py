@@ -32,10 +32,10 @@ EXIT_IO = 3
 EXIT_RESOURCE = 4
 
 NORM_SIGMA = {
-    PERIOD: lambda A, tol: float(sigma_p2(A)),
-    MAXN: lambda A, tol: float(sigma_p2(A)),
-    WORD: lambda A, tol: float(sigma_w2(A)),
-    GEOM: lambda A, tol: import_module("modwind.invariants").chat_two_tail(A, tol).sigma_g2,
+    PERIOD: lambda A: float(sigma_p2(A)),
+    MAXN: lambda A: float(sigma_p2(A)),
+    WORD: lambda A: float(sigma_w2(A)),
+    GEOM: lambda A: import_module("modwind.invariants").chat_two_tail(A).sigma_g2,
 }
 
 
@@ -133,9 +133,6 @@ def build_parser():
     p.add_argument("--norm", choices=NORMALIZATIONS, required=True)
     p.add_argument("--bins", type=_int_at_least(2), default=BINS)
     threads(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-3,
-                   help="geom normalization: largest width of the rigorous two-tail "
-                        "interval for c-hat whose midpoint gives sigma^2")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--svg", action="store_true", help="also emit dist.svg")
     p.add_argument("--sample", type=_int_at_least(1), metavar="COUNT",
@@ -196,17 +193,18 @@ def cmd_count(args):
 
 def cmd_dist(args):
     from . import stats
-    # A sampled run builds a row only for each drawn period length.
-    rows = args.N // 2 if args.sample is None else min(args.sample, args.N // 2)
-    stats.check_hist(rows, args.bins)
-    # The draws' or the enumeration's price, then ĉ's budget, before any work.
+    # The l_g histograms' price (only sampled and geom runs build them), the
+    # draws' or the enumeration's, then ĉ's budget, before any work.
     if args.sample is not None:
+        # A sampled run builds a row only for each drawn period length.
+        stats.check_hist(min(args.sample, args.N // 2), args.bins)
         from . import bulk
         bulk.check_sample(args.A, args.N, args.sample)
     elif args.norm == GEOM:
+        stats.check_hist(args.N // 2, args.bins)
         from . import bulk
         bulk.shard_ranges(args.A, args.N)
-    sigma2 = NORM_SIGMA[args.norm](args.A, args.tol)
+    sigma2 = NORM_SIGMA[args.norm](args.A)
     if args.sample is not None:
         acc = bulk.sample(args.A, args.N, args.sample, args.seed, args.bins)
     elif args.norm == GEOM:
@@ -264,7 +262,7 @@ def cmd_constants(args):
 
 def cmd_charfn(args):
     from . import stats
-    sigma2 = float(sigma_p2(args.A))
+    sigma2 = NORM_SIGMA[args.norm](args.A)
     acc = _exact_table(args.A, args.N)
     t_admissible = math.sqrt(2.0 * math.log(args.A) * args.N) / math.sqrt(sigma2)
     for t in args.t:

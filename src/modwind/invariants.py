@@ -106,6 +106,7 @@ def fibonacci(k):
 
 
 WORD_BUDGET = 50_000_000  # most words a c_k average evaluates
+TWO_TAIL_WIDTH = 1e-3  # widest interval for c-hat that chat_two_tail returns
 # Entries in ck_constant's suffix table, and in each block of values it
 # folds into products.
 _TABLE = 1 << 20
@@ -139,7 +140,7 @@ def ck_constant(A, k, tail=None):
         raise ValueError("truncation depth must be positive")
     total = A**k
     if total > WORD_BUDGET:
-        raise BudgetError(f"A^k = {total} exceeds word budget {WORD_BUDGET}")
+        raise BudgetError(f"{A}^{k} words exceed word budget {WORD_BUDGET}")
     m = 1
     while m < k and A ** (m + 1) <= _TABLE:
         m += 1
@@ -238,7 +239,7 @@ def chat_estimate(A, tol):
     est = ChatEstimate(A=A, k=j, c_k=ck_constant(A, j), error_bound=2.0 / fibonacci(j) ** 2)
     if j < k:
         raise BudgetError(
-            f"depth {k} needs A^k = {A**k} words (budget {WORD_BUDGET}); "
+            f"depth {k} needs {A}^{k} words (budget {WORD_BUDGET}); "
             f"best achievable bound is {est.error_bound}",
             best=est,
         )
@@ -279,25 +280,21 @@ def two_tail_bounds(A, k):
     return lo - pad, hi + pad
 
 
-def chat_two_tail(A, tol):
-    """Smallest-depth two-tail interval for c-hat whose width is <= tol.
+def chat_two_tail(A):
+    """Smallest-depth two-tail interval for c-hat at most TWO_TAIL_WIDTH wide.
 
-    Depth k costs 2 A^k words (k = 5 at A = 5 and tol 1e-3, where the
-    Fibonacci rule of chat_estimate needs 5^10).  Raises BudgetError when
-    the next depth would pass WORD_BUDGET words.
+    The width is read at each call.  Depth k costs 2 A^k words (k = 5 at
+    A = 5, where the Fibonacci rule of chat_estimate needs 5^10 for a
+    bound of 1e-3).  Raises BudgetError when the next depth would pass
+    WORD_BUDGET words.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if tol < 2 * _ROUNDING:
-        # Every padded interval is at least 2 _ROUNDING wide.
-        raise BudgetError(f"tolerance {tol} is below the rounding floor {2 * _ROUNDING}")
     k = 1
     lo, hi = two_tail_bounds(A, k)
-    while hi - lo > tol:
+    while hi - lo > TWO_TAIL_WIDTH:
         k += 1
         if A**k > WORD_BUDGET:
             raise BudgetError(
-                f"depth {k} needs A^k = {A**k} words (budget {WORD_BUDGET}); "
+                f"depth {k} needs {A}^{k} words (budget {WORD_BUDGET}); "
                 f"the interval for c-hat at depth {k - 1} is {hi - lo} wide"
             )
         lo, hi = two_tail_bounds(A, k)

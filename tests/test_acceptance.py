@@ -186,7 +186,7 @@ def test_05_constants(chat5):
 
 @pytest.mark.parametrize("A", [2, 5, 6, 10, 30])
 def test_two_tail_interval_contains_transfer_operator_chat(A):
-    lo, hi = invariants.chat_two_tail(A, 1e-3).chat_interval
+    lo, hi = invariants.chat_two_tail(A).chat_interval
     assert lo <= _chat_transfer_operator(A) <= hi
 
 
@@ -194,7 +194,7 @@ def test_two_tail_interval_contains_references(restrictions):
     # dist --norm geom takes sigma_g2 from the two-tail interval; it is
     # narrower than chat5's and still holds test_05's reference and
     # test_10's N=12 mean of lg/lp.
-    est = invariants.chat_two_tail(5, 1e-3)
+    est = invariants.chat_two_tail(5)
     lo, hi = est.sigma_g2_interval
     assert lo <= 2.0 / _chat_transfer_operator(5) <= hi
     assert lo <= 0.9023205 <= hi

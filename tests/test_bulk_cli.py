@@ -690,6 +690,15 @@ class TestCliDist:
         s = float(sigma_p2(6))
         assert s / (chat + tol) <= json.loads(out)["sigma2"] <= s / (chat - tol)
 
+    def test_no_tol_option(self, capsys, tmp_path):
+        # c-hat's two-tail width is invariants.TWO_TAIL_WIDTH, not an option.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dist", "--A", "5", "--N", "8", "--norm", "geom", "--tol", "0.001",
+                      "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 0.001" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCliConstants:
     def test_report(self, capsys):
@@ -709,20 +718,29 @@ class TestCliConstants:
         # best-effort estimate still reported
         assert json.loads(out)["k"] <= 2
 
+    def test_budget_refusal_is_one_short_line(self, capsys):
+        # Depth 721 needs (10^7)^721 words, a power of 5048 digits.
+        code, out, err = run_cli(capsys, "constants", "--A", "10000000", "--tol", "1e-300")
+        assert code == 4
+        assert json.loads(out)["k"] == 1
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+        assert err.startswith("depth 721 needs 10000000^721 words")
+
     @pytest.mark.parametrize("tol", ["2", "10", "1e300"])
     @pytest.mark.parametrize("A", range(2, 7))
-    def test_loose_tolerance_brackets_limit(self, capsys, A, tol):
+    def test_loose_tolerance_brackets_limit(self, capsys, monkeypatch, A, tol):
         # Depth 1's bound 2/F_1^2 = 2 exceeds c_1 = 2 log(A!)/A for A <= 5,
         # which would put the upper end of the interval below zero.
         code, out, _ = run_cli(capsys, "constants", "--A", str(A), "--tol", tol)
         assert code == 0
         lo, hi = json.loads(out)["sigma_g2_interval"]
         assert 0 < lo < hi
-        chat = invariants.chat_two_tail(A, 1e-6).c_k
+        monkeypatch.setattr(invariants, "TWO_TAIL_WIDTH", 1e-6)
+        chat = invariants.chat_two_tail(A).c_k
         assert lo <= float(sigma_p2(A)) / chat <= hi
 
     @pytest.mark.parametrize("A, k", [(2, 3), (5, 3), (6, 1), (10, 1), (369, 1), (400, 1)])
-    def test_loose_tolerance_depth(self, capsys, A, k):
+    def test_loose_tolerance_depth(self, capsys, monkeypatch, A, k):
         # Depth 1's bound 2 is below c_1 = 2 log(A!)/A exactly when A >= 6,
         # so the search starts there; A >= 369 would pass the word budget
         # at depth 3.
@@ -731,7 +749,8 @@ class TestCliConstants:
         payload = json.loads(out)
         assert payload["k"] == k
         lo, hi = payload["sigma_g2_interval"]
-        chat = invariants.chat_two_tail(A, 0.05).c_k
+        monkeypatch.setattr(invariants, "TWO_TAIL_WIDTH", 0.05)
+        chat = invariants.chat_two_tail(A).c_k
         assert 0 < lo <= float(sigma_p2(A)) / chat <= hi
 
 
@@ -768,7 +787,7 @@ class TestCliExitCodes:
         (["constants", "--A", "100000000"], 4),
         (["charfn", "--A", "3", "--N", "4", "--t", "inf"], 2),
         (["charfn", "--A", "3", "--N", "4", "--t", "nan"], 2),
-        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000"], 4),
+        (["dist", "--A", "3", "--N", "4", "--norm", "geom", "--bins", "100000000"], 4),
         (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000",
           "--sample", "10"], 4),
         (["dist", "--A", str(2**32), "--N", "2", "--norm", "period", "--sample", "5"], 4),
@@ -810,14 +829,14 @@ class TestCliExitCodes:
         ["dist", "--A", "5", "--N", "16", "--norm", "geom"],
         ["verify", "--A", "2", "--N", "32"],
         ["dist", "--A", "5", "--N", "8", "--norm", "period", "--sample", "1000000000000"],
-        # the draws are priced before a depth-11 c-hat
-        ["dist", "--A", "5", "--N", "8", "--norm", "geom", "--sample", "1000000000000",
-         "--tol", "6e-9"],
+        # the draws are priced before c-hat
+        ["dist", "--A", "5", "--N", "8", "--norm", "geom", "--sample", "1000000000000"],
     ]] + [
         # the closed-form count, priced before A^N is formed
         (["count", "--A", "5", "--N", "100000000"], "float range"),
+        # the table route builds no l_g histogram, so its --bins is not priced
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000"], None),
         # the l_g histogram, priced before any other work
-        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "100000000"], "cap"),
         (["dist", "--A", "5", "--N", "8", "--norm", "geom", "--bins", "100000000"], "cap"),
         (["dist", "--A", "9", "--N", "14", "--norm", "word", "--sample", "10",
           "--bins", "100000000"], "cap"),
@@ -838,6 +857,12 @@ class TestCliExitCodes:
         start = time.monotonic()
         code, out, err = run_cli(capsys, *argv)
         assert time.monotonic() - start < 1.0
+        if refusal is None:
+            assert code == 0
+            assert run_cli(capsys, *argv[:-2], "--out-dir", "default") == (code, out, err)
+            for name in ("report.json", "table.csv", "cdf.csv"):
+                assert (tmp_path / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+            return
         assert code == 4
         assert out == ""
         assert refusal in err
@@ -904,7 +929,7 @@ class TestCliExitCodes:
         assert proc.stderr.strip() == "modwind count: error: rejected by the test"
 
     def test_geom_budget_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
-        def over_budget(A, tol):
+        def over_budget(A):
             raise BudgetError("over budget")
 
         sampled = []
@@ -1008,6 +1033,15 @@ class TestCliExitCodes:
         assert proc.stdout.splitlines()[-1] == state
 
 
+def _chat_two_tail_at(width, A=5):
+    saved = invariants.TWO_TAIL_WIDTH
+    invariants.TWO_TAIL_WIDTH = width
+    try:
+        return invariants.chat_two_tail(A)
+    finally:
+        invariants.TWO_TAIL_WIDTH = saved
+
+
 class TestAcyclic:
     """Each call leaves no more cyclic garbage after more work, so a CLI
     call may run with cyclic GC off (cli.entry) without growing memory."""
@@ -1027,7 +1061,7 @@ class TestAcyclic:
         (lambda: bulk.count(5, 10), lambda: bulk.count(5, 6)),
         (lambda: bulk.sample(9, 14, 20_000, 1), lambda: bulk.sample(9, 14, 1_000, 1)),
         (lambda: lattice.table(5, 20), lambda: lattice.table(5, 6)),
-        (lambda: invariants.chat_two_tail(5, 1e-6), lambda: invariants.chat_two_tail(5, 1e-3)),
+        (lambda: _chat_two_tail_at(1e-6), lambda: _chat_two_tail_at(1e-3)),
     ], ids=["run", "count", "sample", "table", "chat"])
     def test_no_garbage_grows_with_work(self, larger, smaller):
         larger()  # lazy imports and caches first
@@ -1186,7 +1220,7 @@ class TestCliSweep:
         if command == "count" and exact:
             argv.append("--exact")
         if command == "dist":
-            argv += [f"--norm={norm}", f"--bins={bins}", f"--tol={tol}"]
+            argv += [f"--norm={norm}", f"--bins={bins}"]
             if sample is not None:
                 argv.append(f"--sample={sample}")
         if command == "constants":

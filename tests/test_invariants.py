@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
-from modwind import cfcore, invariants, necklace, sigma_p2, sigma_w2
+from modwind import GEOM, cfcore, invariants, necklace, sigma_p2, sigma_w2
 from modwind.cfcore import MatrixZ, fixed_points, matrix_of_word
 from modwind.errors import BudgetError
 from modwind.invariants import (
@@ -306,6 +306,11 @@ class TestCkConstant:
             with pytest.raises(BudgetError):
                 ck_constant(A, k)
 
+    def test_budget_refusal_writes_the_power(self):
+        # (10^7)^721 has 5048 digits, past int-to-str's default 4300.
+        with pytest.raises(BudgetError, match=r"^10000000\^721 words exceed"):
+            ck_constant(10**7, 721)
+
 
 class TestChatEstimate:
     def test_cauchy_property(self):
@@ -355,12 +360,13 @@ def _tail_sum_mp(A, k, tail):
 class TestChatTwoTail:
     @pytest.mark.parametrize("A, k", [(5, 5), (6, 5), (10, 4), (30, 3)])
     def test_depth_at_default_tolerance(self, A, k):
-        assert chat_two_tail(A, 1e-3).k == k
+        assert chat_two_tail(A).k == k
 
     @pytest.mark.parametrize("A", [2, 3, 5, 6, 10, 30])
     @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
-    def test_width_and_minimal_depth(self, A, tol):
-        est = chat_two_tail(A, tol)
+    def test_width_and_minimal_depth(self, A, tol, monkeypatch):
+        monkeypatch.setattr(invariants, "TWO_TAIL_WIDTH", tol)
+        est = chat_two_tail(A)
         lo, hi = est.chat_interval
         assert 2 * est.error_bound <= tol
         assert lo < est.c_k < hi
@@ -369,18 +375,31 @@ class TestChatTwoTail:
             lo, hi = two_tail_bounds(A, est.k - 1)
             assert hi - lo > tol
 
-    def test_interval_contains_its_bounds(self):
+    def test_interval_contains_its_bounds(self, monkeypatch):
         for A, tol in ((2, 1e-3), (5, 1e-3), (7, 1e-5)):
-            est = chat_two_tail(A, tol)
+            monkeypatch.setattr(invariants, "TWO_TAIL_WIDTH", tol)
+            est = chat_two_tail(A)
             lo, hi = two_tail_bounds(A, est.k)
             assert est.chat_interval[0] <= lo and hi <= est.chat_interval[1]
 
     def test_inside_fibonacci_interval(self):
-        est = chat_two_tail(5, 1e-3)
+        est = chat_two_tail(5)
         assert est.k == 5
         c10, bound = ck_constant(5, 10), 2 / fibonacci(10) ** 2
         lo, hi = est.chat_interval
         assert c10 - bound < lo < hi < c10 + bound
+
+    @pytest.mark.parametrize("A", [2, 5, 6, 10])
+    def test_dist_sigma_is_midpoint(self, A):
+        # dist's geom target is sigma_p^2 over the midpoint of the first
+        # two-tail interval at most 1e-3 wide, bit for bit.
+        from modwind.cli import NORM_SIGMA
+
+        k = 1
+        while (bounds := two_tail_bounds(A, k))[1] - bounds[0] > 1e-3:
+            k += 1
+        lo, hi = bounds
+        assert NORM_SIGMA[GEOM](A) == float(sigma_p2(A)) / (0.5 * (lo + hi))
 
     @pytest.mark.parametrize("A, k", [(2, 8), (5, 4), (6, 3)])
     def test_padded_bounds_contain_exact_tail_sums(self, A, k):
@@ -401,15 +420,11 @@ class TestChatTwoTail:
 
         monkeypatch.setattr(invariants, "ck_constant", recording)
         monkeypatch.setattr(invariants, "WORD_BUDGET", 10**4)
+        monkeypatch.setattr(invariants, "TWO_TAIL_WIDTH", 1e-9)
         with pytest.raises(BudgetError) as exc:
-            chat_two_tail(5, 1e-9)
+            chat_two_tail(5)
         assert exc.value.best is None
         assert max(depths) == 5  # 5^5 <= 10^4 < 5^6: nothing past the budget
+        monkeypatch.setattr(invariants, "TWO_TAIL_WIDTH", 1.0)
         with pytest.raises(BudgetError):
-            chat_two_tail(10**4 + 1, 1.0)
-        with pytest.raises(ValueError):
-            chat_two_tail(5, 0.0)
-        depths.clear()
-        with pytest.raises(BudgetError):
-            chat_two_tail(2, 1e-10)  # below any padded width
-        assert not depths
+            chat_two_tail(10**4 + 1)
