@@ -1,12 +1,14 @@
 """Winding statistics of low-lying closed geodesics on the modular surface."""
 
+import math
 from fractions import Fraction
 
 __version__ = "0.1.0"
 
 # Normalizations of the winding number, the default bin count of the
-# geom one's l_g histograms and the variances of the lattice ones, defined
-# here so that the cli and stats load neither numpy nor invariants for them.
+# geom one's l_g histograms, the variances of the lattice ones and the
+# rules on A, N, the bin count and the c-hat tolerance, defined here so
+# that the cli and stats load neither numpy nor invariants for them.
 PERIOD = "period"
 MAXN = "maxn"
 WORD = "word"
@@ -21,6 +23,18 @@ def check_bound(A, N=None):
         raise ValueError(f"A must exceed 1, got {A}")
     if N is not None and (N < 2 or N % 2):
         raise ValueError(f"N must be even and >= 2, got {N}")
+
+
+def check_bins(bins):
+    """Raise ValueError unless the l_g histogram gets 2 bins or more."""
+    if bins < 2:
+        raise ValueError(f"the l_g histogram needs 2 bins or more, got {bins}")
+
+
+def check_tolerance(tol):
+    """Raise ValueError unless the c-hat tolerance tol is positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def sigma_p2(A):

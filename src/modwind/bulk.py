@@ -253,28 +253,20 @@ def _geodesic_lengths(A, digits):
     square is ever formed.
     """
     count, n = digits.shape
-    if n * math.log2(A + 1) < _ENTRY_BITS:
-        a = np.ones(count, dtype=np.int64)
-        b = np.zeros(count, dtype=np.int64)
-        c = np.zeros(count, dtype=np.int64)
-        d = np.ones(count, dtype=np.int64)
-        for i in range(n):
-            w = digits[:, i].astype(np.int64)
-            a, b = a * w + b, a
-            c, d = c * w + d, c
-        return _trace_lengths(a + d)
-    a = np.ones(count)
-    b = np.zeros(count)
-    c = np.zeros(count)
-    d = np.ones(count)
+    exact = n * math.log2(A + 1) < _ENTRY_BITS
+    dtype = np.int64 if exact else np.float64
+    a, b, c, d = (np.full(count, x, dtype=dtype) for x in (1, 0, 0, 1))
     exp = np.zeros(count, dtype=np.int64)
     for i in range(n):
-        w = digits[:, i]
+        w = digits[:, i].astype(dtype)
         a, b = a * w + b, a
         c, d = c * w + d, c
-        _, k = np.frexp(a)
-        a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
-        exp += k
+        if not exact:
+            _, k = np.frexp(a)
+            a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
+            exp += k
+    if exact:
+        return _trace_lengths(a + d)
     # lambda = T (1 + sqrt(1 - r^2)) / 2 with T = t 2^exp and r = 2 / T;
     # r underflows only where r^2 is far below rounding.
     t = a + d

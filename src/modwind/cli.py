@@ -21,8 +21,8 @@ import os
 import sys
 from importlib import import_module
 
-from . import (BINS, GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, check_bound, necklace,
-               sigma_p2, sigma_w2)
+from . import (BINS, GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, check_bins, check_bound,
+               check_tolerance, necklace, sigma_p2, sigma_w2)
 from .errors import BudgetError
 
 EXIT_OK = 0
@@ -45,52 +45,29 @@ def _progress(done, total, unit="shard"):
         print(f"{unit} {done}/{total}", file=sys.stderr, flush=True)
 
 
-def _threads(value):
-    try:
-        threads = int(value)
-        if threads >= 1:
-            return threads
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"thread count (--threads or MODWIND_THREADS) must be an integer >= 1, got {value!r}"
-    )
-
-
-def _checked_int(rule):
-    """argparse type: an int that rule accepts, rule's ValueError its usage message."""
+def _checked(convert, rule):
+    """argparse type: the argument as convert (int or float) reads it,
+    checked by rule, whose ValueError becomes the usage message."""
     def parse(value):
-        n = int(value)
+        x = convert(value)
         try:
-            rule(n)
+            rule(x)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return n
+        return x
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
 
 
-def _int_at_least(lo):
-    def rule(n):
-        if n < lo:
-            raise ValueError(f"must be >= {lo}, got {n}")
-
-    return _checked_int(rule)
+def _positive(n):
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
 
 
-def _tolerance(value):
-    tol = float(value)
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {tol}")
-    return tol
-
-
-def _finite(value):
-    t = float(value)
+def _finite(t):
     if not math.isfinite(t):
-        raise argparse.ArgumentTypeError(f"must be finite, got {t}")
-    return t
+        raise ValueError(f"must be finite, got {t}")
 
 
 def _exact_table(A, N):
@@ -110,17 +87,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=True):
-        p.add_argument("--A", type=_checked_int(check_bound), required=True,
+        p.add_argument("--A", type=_checked(int, check_bound), required=True,
                        help="partial quotient bound")
         if with_n:
-            p.add_argument("--N", type=_checked_int(lambda N: check_bound(2, N)), required=True,
+            p.add_argument("--N", type=_checked(int, lambda N: check_bound(2, N)), required=True,
                            help="maximum period length (even)")
 
     def threads(p):
-        # argparse applies the type to a string default, so a bad
-        # MODWIND_THREADS is a usage error like a bad --threads.
-        p.add_argument("--threads", type=_threads,
-                       default=os.environ.get("MODWIND_THREADS") or "1")
+        p.add_argument("--threads", type=_checked(int, _positive), default=1)
 
     p = sub.add_parser("count", help="count necklaces up to period length N")
     common(p)
@@ -131,24 +105,24 @@ def build_parser():
     p = sub.add_parser("dist", help="empirical distribution vs Gaussian")
     common(p)
     p.add_argument("--norm", choices=NORMALIZATIONS, required=True)
-    p.add_argument("--bins", type=_int_at_least(2), default=BINS)
+    p.add_argument("--bins", type=_checked(int, check_bins), default=BINS)
     threads(p)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--svg", action="store_true", help="also emit dist.svg")
-    p.add_argument("--sample", type=_int_at_least(1), metavar="COUNT",
+    p.add_argument("--sample", type=_checked(int, _positive), metavar="COUNT",
                    help="Monte Carlo mode: number of uniform draws")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("constants", help="variance constants and ergodic estimate")
     common(p, with_n=False)
-    p.add_argument("--tol", type=_tolerance, default=1e-3,
+    p.add_argument("--tol", type=_checked(float, check_tolerance), default=1e-3,
                    help="largest Fibonacci bound 2/F_k^2 on |c-hat - c_k|; the depth k "
                         "is at least 1 for A >= 6 and at least 3 for A <= 5")
 
     p = sub.add_parser("charfn", help="empirical characteristic function")
     common(p)
     p.add_argument("--norm", choices=[PERIOD, MAXN], default=PERIOD)
-    p.add_argument("--t", type=_finite, action="append", required=True,
+    p.add_argument("--t", type=_checked(float, _finite), action="append", required=True,
                    help="evaluation point (repeatable)")
     threads(p)
 

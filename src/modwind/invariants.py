@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import cfcore, check_bound, sigma_p2
+from . import cfcore, check_bound, check_tolerance, sigma_p2
 from .cfcore import as_word, eigenvalue_max, matrix_of_word
 from .errors import BudgetError
 
@@ -223,20 +223,21 @@ class ChatEstimate(namedtuple("ChatEstimate", "A k c_k error_bound")):
 def chat_estimate(A, tol):
     """Estimate at the smallest depth k whose Cauchy bound 2/F_k^2 meets tol:
     k >= 1 for A >= 6 and k >= 3 below, so that the sigma_g^2 interval is positive."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     # The interval is positive where c_k > 2/F_k^2.  [a_1; ...] >= a_1 gives
     # every c_k >= c_1 = 2 log(A!)/A; 2/F_1^2 = 2/F_2^2 = 2 is below c_1
     # exactly when A >= 6, and 2/F_3^2 = 1/2 < log 2 <= c_1 for every A >= 2.
     k = 1 if math.lgamma(A + 1) > A else 3
-    while 2.0 / fibonacci(k) ** 2 > tol:
+    # Int/int division rounds correctly and underflows to 0.0 where a float
+    # F_k^2 would overflow, so any positive tol ends the search.
+    while 2 / fibonacci(k) ** 2 > tol:
         k += 1
     j = k
     while j and A**j > WORD_BUDGET:
         j -= 1
     if not j:
         raise BudgetError(f"A = {A} words at depth 1 exceed word budget {WORD_BUDGET}")
-    est = ChatEstimate(A=A, k=j, c_k=ck_constant(A, j), error_bound=2.0 / fibonacci(j) ** 2)
+    est = ChatEstimate(A=A, k=j, c_k=ck_constant(A, j), error_bound=2 / fibonacci(j) ** 2)
     if j < k:
         raise BudgetError(
             f"depth {k} needs {A}^{k} words (budget {WORD_BUDGET}); "

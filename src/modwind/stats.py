@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from operator import sub, truediv
 
 from . import GEOM, MAXN, NORMALIZATIONS, PERIOD, WORD, sigma_p2  # noqa: F401  (re-exported)
-from . import BINS, check_bound
+from . import BINS, check_bins, check_bound
 from .errors import BudgetError
 
 GRID_CAP = 1 << 24
@@ -65,8 +65,7 @@ class JointCounts:
 
     def __init__(self, A, N, bins=BINS):
         check_bound(A, N)
-        if bins < 2:
-            raise ValueError(f"the l_g histogram needs 2 bins or more, got {bins}")
+        check_bins(bins)
         self.A = A
         self.N = N
         self.bins = bins

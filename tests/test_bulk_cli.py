@@ -726,6 +726,14 @@ class TestCliConstants:
         assert len(err.splitlines()) == 1 and len(err.encode()) < 200
         assert err.startswith("depth 721 needs 10000000^721 words")
 
+    def test_subnormal_tolerance_keeps_the_best_estimate(self, capsys):
+        # 2/F_k^2 meets 5e-324 only at F_k^2 > 1.8e308, past the float range.
+        code, out, err = run_cli(capsys, "constants", "--A", "5", "--tol", "5e-324")
+        assert code == 4
+        assert json.loads(out)["k"] == 11
+        assert len(err.splitlines()) == 1
+        assert err.startswith("depth 776 needs 5^776 words (budget 50000000)")
+
     @pytest.mark.parametrize("tol", ["2", "10", "1e300"])
     @pytest.mark.parametrize("A", range(2, 7))
     def test_loose_tolerance_brackets_limit(self, capsys, monkeypatch, A, tol):
@@ -908,13 +916,15 @@ class TestCliExitCodes:
         lines = [line for line in proc.stderr.splitlines() if not line.startswith("shard ")]
         assert lines == [f"enumerated {expected - 1} != pi_exact {expected}"]
 
-    def test_malformed_thread_environment(self, tmp_path):
-        for value in ("abc", "0"):
-            proc = run_python("-m", "modwind.cli", "count", "--A", "3", "--N", "4",
-                              cwd=tmp_path, MODWIND_THREADS=value)
-            assert proc.returncode == 2, proc.stderr
-            assert "MODWIND_THREADS" in proc.stderr
-            assert "Traceback" not in proc.stderr
+    def test_thread_environment_is_ignored(self, tmp_path):
+        # --threads alone sets the thread count; MODWIND_THREADS means nothing.
+        for argv in (["count", "--A", "3", "--N", "4"], ["count", "--A", "3", "--N", "4", "--exact"]):
+            plain = run_python("-m", "modwind.cli", *argv, cwd=tmp_path)
+            assert plain.returncode == 0, plain.stderr
+            for value in ("abc", "0"):
+                proc = run_python("-m", "modwind.cli", *argv, cwd=tmp_path, MODWIND_THREADS=value)
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stdout == plain.stdout
 
     def test_escaping_value_error_is_usage(self, tmp_path):
         # Any ValueError a command lets escape is reported as a usage error.

@@ -1,11 +1,15 @@
 """The input rules, each stated once: a word's digits and even length in
-cfcore.as_word, the bounds on A and N in modwind.check_bound.  Every
-entry point that takes such input raises ValueError through them."""
+cfcore.as_word, the bounds on A and N in modwind.check_bound, the bin
+count in check_bins and the c-hat tolerance in check_tolerance.  Every
+entry point that takes such input raises ValueError through them, and
+the command line reports the same text."""
+
+import re
 
 import numpy as np
 import pytest
 
-from modwind import check_bound, invariants, lattice, necklace, sigma_p2, sigma_w2, stats
+from modwind import check_bound, cli, invariants, lattice, necklace, sigma_p2, sigma_w2, stats
 from modwind.cfcore import as_word
 
 EVEN_WORD_ENTRY_POINTS = [
@@ -84,3 +88,46 @@ class TestCheckBound:
     def test_rejects_bad_n(self, entry, N):
         with pytest.raises(ValueError):
             entry(2, N)
+
+
+# Each numeric option, in a call that is valid without it, and the type
+# argparse names when the option's value is not a number.
+NUMERIC_OPTIONS = {
+    "--A": (["count", "--N", "4"], "int"),
+    "--N": (["count", "--A", "3"], "int"),
+    "--bins": (["dist", "--A", "3", "--N", "4", "--norm", "period"], "int"),
+    "--threads": (["count", "--A", "3", "--N", "4"], "int"),
+    "--sample": (["dist", "--A", "3", "--N", "4", "--norm", "period"], "int"),
+    "--seed": (["dist", "--A", "3", "--N", "4", "--norm", "period"], "int"),
+    "--tol": (["constants", "--A", "3"], "float"),
+    "--t": (["charfn", "--A", "3", "--N", "4"], "float"),
+}
+
+
+def usage_error(capsys, argv):
+    """The one error line of a call that exits 2 at argument parsing."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(lines) == 1
+    return lines[0]
+
+
+class TestCliRules:
+    @pytest.mark.parametrize("option", NUMERIC_OPTIONS)
+    def test_not_a_number(self, capsys, option):
+        argv, kind = NUMERIC_OPTIONS[option]
+        line = usage_error(capsys, [*argv, option, "abc"])
+        assert line.endswith(f"error: argument {option}: invalid {kind} value: 'abc'")
+        assert not re.search(r"\b_", line), line  # no private name
+
+    @pytest.mark.parametrize("argv, call", [
+        (["dist", "--A", "3", "--N", "4", "--norm", "period", "--bins", "1"],
+         lambda: stats.JointCounts(2, 4, bins=1)),
+        (["constants", "--A", "3", "--tol", "0"], lambda: invariants.chat_estimate(5, 0.0)),
+    ], ids=["bins", "tol"])
+    def test_same_rule_as_the_library(self, capsys, argv, call):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert usage_error(capsys, argv).endswith(f"argument {argv[-2]}: {exc.value}")
